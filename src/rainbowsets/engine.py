@@ -16,13 +16,15 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from statistics import fmean
 
-from .errors import BudgetError, ParameterError
+from .errors import ParameterError, require_budget
 from .hypergraph import (
     DEFAULT_BUDGET,
     Colouring,
     ConflictHypergraph,
     GroundSet,
     build_conflict_hypergraph,
+    colour_class_sizes,
+    colour_classes,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -80,8 +82,6 @@ class SamplePlan:
     def from_spec(cls, n: int, k: int, h: int, seed: int, shrink: float = 0.5,
                   p: float | None = None) -> "SamplePlan":
         if p is None:
-            if not 0 < shrink <= 1:
-                raise ParameterError(f"shrink must be in (0, 1], got {shrink}")
             p = min(1.0, shrink * n ** (-(k + h - 1) / (2 * k - 1)))
         return cls(n=n, k=k, h=h, p=p, seed=seed, shrink=shrink)
 
@@ -148,9 +148,8 @@ def verify_rainbow(colouring: Colouring, subset, budget: int = DEFAULT_BUDGET) -
     s = tuple(sorted(set(subset)))
     if len(s) < k:
         return True
-    total = math.comb(len(s), k)
-    if total > budget:
-        raise BudgetError(f"verifying needs {total} edges; budget is {budget}")
+    require_budget(math.comb(len(s), k), budget, "verify", "verify_rainbow",
+                   "colour evaluations")
     seen = set()
     ev = colouring.evaluator
     for e in combinations(s, k):
@@ -232,6 +231,11 @@ def sample_and_delete(colouring: Colouring, ground: GroundSet, plan: SamplePlan,
     with both members inside the kept set, the vertex of A∪B appearing in the
     most surviving pairs is deleted (smallest id on ties).  The remainder is
     independent in the conflict hypergraph, hence rainbow.
+
+    Only pairs inside the kept set can matter, so only those are enumerated
+    and budgeted; the ground set's colour classes are merely counted, for
+    ``pairs_total``, after C(N, k) colour evaluations are checked against the
+    budget.
     """
     spec = colouring.spec
     if (plan.n, plan.k, plan.h) != (ground.n, spec.k, spec.h):
@@ -240,17 +244,17 @@ def sample_and_delete(colouring: Colouring, ground: GroundSet, plan: SamplePlan,
             f"instance has (n={ground.n}, k={spec.k}, h={spec.h})"
         )
     t0 = time.perf_counter()
-    hypergraph = build_conflict_hypergraph(colouring, ground, budget=budget)
+    sizes = colour_class_sizes(colouring, ground, budget=budget)
+    pairs_total = sum(math.comb(size, 2) for size in sizes.values())
     rng = random.Random(plan.seed)
     kept = {v for v in ground.vertices if rng.random() < plan.p}
     kept_after_sampling = len(kept)
 
-    all_pairs = list(hypergraph.iter_pairs())
-    surviving = [
-        (a, b) for a, b in all_pairs
-        if all(v in kept for v in a) and all(v in kept for v in b)
-    ]
-    pairs_after_sampling = len(surviving)
+    classes = colour_classes(colouring, ground, budget=budget, vertices=sorted(kept))
+    pairs_after_sampling = sum(math.comb(len(edges), 2) for edges in classes.values())
+    require_budget(pairs_after_sampling, budget, "index", "conflict pairs inside the kept set",
+                   "pairs")
+    surviving = [pair for edges in classes.values() for pair in combinations(edges, 2)]
 
     deleted = 0
     while surviving:
@@ -267,9 +271,9 @@ def sample_and_delete(colouring: Colouring, ground: GroundSet, plan: SamplePlan,
     verified = verify_rainbow(colouring, subset, budget=budget)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
     stats = {
-        "pairs_total": len(all_pairs),
+        "pairs_total": pairs_total,
         "pairs_after_sampling": pairs_after_sampling,
-        "pairs_destroyed_by_sampling": len(all_pairs) - pairs_after_sampling,
+        "pairs_destroyed_by_sampling": pairs_total - pairs_after_sampling,
         "vertices_kept_after_sampling": kept_after_sampling,
         "vertices_deleted_by_hand": deleted,
     }
@@ -288,8 +292,7 @@ def exact_max_rainbow(colouring: Colouring, ground: GroundSet, limit: int | None
     if k > n:
         raise ParameterError(f"k={k} exceeds ground set size {n}")
     cap = limit if limit is not None else DEFAULT_ORACLE_LIMITS.get(k, DEFAULT_ORACLE_FALLBACK_LIMIT)
-    if n > cap:
-        raise BudgetError(f"exact oracle limit is N <= {cap} for k={k}, got N={n}")
+    require_budget(n, cap, "search", f"the exact oracle for k={k}", "vertices")
     t0 = time.perf_counter()
     hypergraph = build_conflict_hypergraph(colouring, ground, budget=budget)
     degrees = hypergraph.pair_degrees()
@@ -344,8 +347,7 @@ def count_short_cycles(hypergraph: ConflictHypergraph, max_len: int = 4,
         raise ParameterError(f"cycle length must be in [2, 4], got {max_len}")
     edge_sets = [set(e.vertices) for e in hypergraph.edges]
     m = len(edge_sets)
-    if m > edge_budget:
-        raise BudgetError(f"cycle diagnostic over {m} edges; budget is {edge_budget}")
+    require_budget(m, edge_budget, "index", "cycle diagnostic", "conflict edges")
     counts = {length: 0 for length in range(2, max_len + 1)}
 
     for i, j in combinations(range(m), 2):

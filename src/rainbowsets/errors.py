@@ -13,6 +13,16 @@ class BudgetError(RuntimeError):
     """An exhaustive operation would exceed its enumeration or attempt budget."""
 
 
+def require_budget(needed: int, budget: int, layer: str, what: str, unit: str) -> None:
+    """Raise ``BudgetError`` when ``needed`` exceeds ``budget``.
+
+    The message names the engine layer (colour, index, search, verify or
+    generator), the operation, the amount it needed and the budget.
+    """
+    if needed > budget:
+        raise BudgetError(f"{layer} layer: {what} needs {needed} {unit}; budget is {budget}")
+
+
 class DegenerateInputError(ValueError):
     """Geometric input is degenerate (affinely dependent points)."""
 

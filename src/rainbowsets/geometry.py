@@ -13,7 +13,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .errors import BudgetError, DegenerateInputError, ParameterError, ValidationError
+from .errors import (
+    BudgetError,
+    DegenerateInputError,
+    ParameterError,
+    ValidationError,
+    require_budget,
+)
 from .hypergraph import DEFAULT_BUDGET, Colouring, ColouringSpec
 from .keys import canonical_key
 
@@ -205,9 +211,7 @@ def find_hyperplane_violation(inst: PointInstance, budget: int = DEFAULT_BUDGET)
     n, d = len(inst), inst.dim
     if n < d + 1:
         return None
-    total = math.comb(n, d + 1)
-    if total > budget:
-        raise BudgetError(f"hyperplane check needs {total} subsets; budget is {budget}")
+    require_budget(math.comb(n, d + 1), budget, "verify", "hyperplane check", "subsets")
     for idxs in combinations(range(n), d + 1):
         if squared_volume([inst.points[i] for i in idxs]) == 0:
             return idxs
@@ -233,9 +237,7 @@ def find_sphere_violation(inst: PointInstance, budget: int = DEFAULT_BUDGET):
     n, d = len(inst), inst.dim
     if n < d + 2:
         return None
-    total = math.comb(n, d + 2)
-    if total > budget:
-        raise BudgetError(f"sphere check needs {total} subsets; budget is {budget}")
+    require_budget(math.comb(n, d + 2), budget, "verify", "sphere check", "subsets")
     for idxs in combinations(range(n), d + 2):
         if det_exact(_lifted_matrix([inst.points[i] for i in idxs])) == 0:
             return idxs
@@ -272,7 +274,8 @@ def generate_general_position(n: int, dim: int, seed: int, coord_bound: int | No
     while len(accepted) < n:
         if attempts >= max_attempts:
             raise BudgetError(
-                f"gave up after {attempts} draws with {len(accepted)}/{n} points placed; "
+                f"generator layer: placing {n} points needs more than {attempts} draws "
+                f"({len(accepted)}/{n} placed); budget is {max_attempts} draws; "
                 f"try a larger coord_bound (currently {coord_bound})"
             )
         attempts += 1

@@ -8,12 +8,12 @@ colour values are compared for equality only, never approximately.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterator
 
-from .errors import BudgetError, ParameterError
+from .errors import ParameterError, require_budget
 from .keys import canonical_key
 
 # Exhaustive operations refuse to touch more k-subsets than this unless the
@@ -140,24 +140,42 @@ def enumerate_ksubsets(ground: GroundSet, k: int) -> Iterator[tuple[int, ...]]:
     return combinations(ground.vertices, k)
 
 
-def _require_budget(amount: int, budget: int, what: str) -> None:
-    if amount > budget:
-        raise BudgetError(f"{what} needs {amount} enumeration steps; budget is {budget}")
-
-
-def colour_classes(
-    colouring: Colouring, ground: GroundSet, budget: int = DEFAULT_BUDGET
-) -> dict[bytes, list[tuple[int, ...]]]:
-    """Group every k-subset of the ground set by its canonical colour key."""
+def _edges_within_budget(colouring: Colouring, ground: GroundSet, vertices, budget: int,
+                         what: str) -> Iterator[tuple[int, ...]]:
+    """The k-subsets of ``vertices``, after checking their colour evaluations against the budget."""
     k = colouring.spec.k
     if k > ground.n:
         raise ParameterError(f"k={k} exceeds ground set size {ground.n}")
-    _require_budget(math.comb(ground.n, k), budget, "colour_classes")
+    require_budget(math.comb(len(vertices), k), budget, "colour", what, "colour evaluations")
+    return combinations(vertices, k)
+
+
+def colour_classes(
+    colouring: Colouring, ground: GroundSet, budget: int = DEFAULT_BUDGET, vertices=None
+) -> dict[bytes, list[tuple[int, ...]]]:
+    """Group every k-subset of ``vertices`` by its canonical colour key.
+
+    ``vertices`` is an ascending sequence of ground-set ids and defaults to
+    the whole ground set.
+    """
+    if vertices is None:
+        vertices = ground.vertices
+    edges = _edges_within_budget(colouring, ground, vertices, budget, "colour_classes")
     classes: dict[bytes, list[tuple[int, ...]]] = defaultdict(list)
     ev = colouring.evaluator
-    for e in combinations(ground.vertices, k):
+    for e in edges:
         classes[canonical_key(ev(e))].append(e)
     return dict(classes)
+
+
+def colour_class_sizes(
+    colouring: Colouring, ground: GroundSet, budget: int = DEFAULT_BUDGET
+) -> Counter:
+    """Size of every colour class of the ground set, counted without storing an edge."""
+    edges = _edges_within_budget(colouring, ground, ground.vertices, budget,
+                                 "colour_class_sizes")
+    ev = colouring.evaluator
+    return Counter(canonical_key(ev(e)) for e in edges)
 
 
 def max_monochromatic_sunflower(
@@ -176,7 +194,8 @@ def max_monochromatic_sunflower(
         raise ParameterError(f"core size must satisfy 0 <= h < k, got h={h}")
     if ground.n < k:
         raise ParameterError(f"need at least k={k} vertices, got {ground.n}")
-    _require_budget(math.comb(ground.n, k) * math.comb(k, h), budget, "sunflower audit")
+    require_budget(math.comb(ground.n, k) * math.comb(k, h), budget, "verify", "sunflower audit",
+                   "(edge, core) incidences")
     classes = colour_classes(colouring, ground, budget=budget)
     best: SunflowerReport | None = None
     for key in sorted(classes):
@@ -213,7 +232,7 @@ def build_conflict_hypergraph(
     """
     classes = colour_classes(colouring, ground, budget=budget)
     total_pairs = sum(math.comb(len(edges), 2) for edges in classes.values())
-    _require_budget(total_pairs, budget, "conflict pair enumeration")
+    require_budget(total_pairs, budget, "index", "conflict pair enumeration", "pairs")
     by_union: dict[tuple[int, ...], list] = defaultdict(list)
     for key in sorted(classes):
         for a, b in combinations(classes[key], 2):

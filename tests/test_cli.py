@@ -134,6 +134,21 @@ def test_find_budget_exit3(tmp_path):
     assert code == 3
 
 
+def test_find_sample_delete_sidon_1000(tmp_path):
+    # C(1000, 3) same-coloured pairs exist; only those inside the kept set
+    # are enumerated, so the default budget suffices
+    inst = tmp_path / "ints.json"
+    run("generate", "integers-range", "--n", "1000", "--out", str(inst))
+    out = tmp_path / "r.json"
+    code = run("find", "--instance", str(inst), "--colouring", "sidon",
+               "--algorithm", "sample-delete", "--seed", "1", "--out", str(out))
+    assert code == 0
+    result = json.loads(out.read_text())
+    assert result["verified"] is True
+    assert result["stats"]["pairs_total"] == 166167000
+    assert is_b2_sequence([int(v) for v in result["subset"]])
+
+
 def test_find_poly_needs_poly_file(tmp_path):
     inst = tmp_path / "ints.json"
     run("generate", "integers-range", "--n", "20", "--out", str(inst))

@@ -1,12 +1,15 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     brute_force_short_cycles,
     constant_colouring,
     injective_colouring,
     random_colouring,
+    reference_sample_and_delete,
 )
 from rainbowsets.algebra import IntegerInstance, sidon_colouring
 from rainbowsets.engine import (
@@ -25,7 +28,7 @@ from rainbowsets.engine import (
     verify_rainbow,
 )
 from rainbowsets.errors import BudgetError, ParameterError
-from rainbowsets.hypergraph import GroundSet, build_conflict_hypergraph
+from rainbowsets.hypergraph import Colouring, ColouringSpec, GroundSet, build_conflict_hypergraph
 
 
 def sidon_instance(n):
@@ -172,6 +175,54 @@ def test_sample_outputs_are_rainbow():
         result = sample_and_delete(c, g, plan)
         assert result.verified
         assert verify_rainbow(c, result.subset)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    colour_seed=st.integers(0, 2**32),
+    k=st.sampled_from([2, 3]),
+    n=st.integers(3, 12),
+    palette=st.integers(1, 6),
+    plan_seed=st.integers(0, 2**32),
+    p=st.floats(0, 1, exclude_min=True),
+)
+@example(colour_seed=0, k=3, n=12, palette=1, plan_seed=0, p=1.0)
+@example(colour_seed=7, k=2, n=12, palette=2, plan_seed=3, p=1.0)
+def test_sample_matches_full_enumeration_reference(colour_seed, k, n, palette, plan_seed, p):
+    # enumerating pairs only inside the kept set changes no subset and no stat
+    c = random_colouring(colour_seed, k=k, h=1, palette=palette)
+    plan = SamplePlan(n=n, k=k, h=1, p=p, seed=plan_seed)
+    result = sample_and_delete(c, GroundSet(n), plan)
+    subset, stats = reference_sample_and_delete(c, n, plan)
+    assert result.subset == subset
+    assert result.stats == stats
+    assert list(result.stats) == list(stats)
+    assert result.verified
+
+
+def test_sample_budget_refused_before_any_colour():
+    calls = []
+
+    def counting(edge):
+        calls.append(edge)
+        return 0
+
+    c = Colouring(ColouringSpec(2, 1, 1), counting, "counting")
+    plan = SamplePlan.from_spec(60, 2, 1, seed=2)
+    with pytest.raises(BudgetError, match="colour layer.* needs 1770 colour evaluations; "
+                                          "budget is 1769"):
+        sample_and_delete(c, GroundSet(60), plan, budget=1769)
+    assert calls == []
+    assert sample_and_delete(c, GroundSet(60), plan, budget=1770).verified
+    assert len(calls) >= 1770
+
+
+def test_sample_float_colours_raise_type_error():
+    # classes are keyed by canonical_key, which has no float encoding
+    c = Colouring(ColouringSpec(2, 1, 1), lambda e: e[0] / 2, "halves")
+    plan = SamplePlan.from_spec(6, 2, 1, seed=0, p=1.0)
+    with pytest.raises(TypeError, match="no canonical key for float"):
+        sample_and_delete(c, GroundSet(6), plan)
 
 
 # ----------------------------------------------------------------- exact

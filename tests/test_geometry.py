@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import gauss_jordan_solve
 from rainbowsets.errors import (
     BudgetError,
     DegenerateInputError,
@@ -102,12 +103,10 @@ def test_circumradius_equidistance_property():
         pts = rational_triangle(rng)
         r2 = squared_circumradius(pts)
         # recover the centre independently from two perpendicular bisector rows
-        from rainbowsets.geometry import solve_exact
-
         p0 = pts[0]
         matrix = [[2 * (a - b) for a, b in zip(p, p0)] for p in pts[1:]]
         rhs = [sum(c * c for c in p) - sum(c * c for c in p0) for p in pts[1:]]
-        centre = tuple(solve_exact(matrix, rhs))
+        centre = tuple(gauss_jordan_solve(matrix, rhs))
         assert all(squared_distance(centre, p) == r2 for p in pts)
 
 
