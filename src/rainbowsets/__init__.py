@@ -22,7 +22,6 @@ from .engine import (
     RainbowResult,
     SamplePlan,
     bench_trials,
-    count_short_cycles,
     derive_seed,
     estimate_exponent,
     exact_max_rainbow,
@@ -84,7 +83,6 @@ __all__ = [
     "check_no_sphere",
     "circumradius_colouring",
     "colour_classes",
-    "count_short_cycles",
     "derive_seed",
     "enumerate_ksubsets",
     "estimate_exponent",

@@ -1,4 +1,4 @@
-"""Rainbow-subset extraction algorithms, diagnostics and the benchmark harness.
+"""Rainbow-subset extraction algorithms and the benchmark harness.
 
 Three routes to a rainbow subset: an incremental greedy scan, random
 sparsification followed by hand deletions, and an exact branch-and-bound
@@ -20,7 +20,6 @@ from .errors import ParameterError, require_budget
 from .hypergraph import (
     DEFAULT_BUDGET,
     Colouring,
-    ConflictHypergraph,
     GroundSet,
     build_conflict_hypergraph,
     colour_class_sizes,
@@ -33,9 +32,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # Per-k ground-set caps for the exact oracle; override via the limit argument.
 DEFAULT_ORACLE_LIMITS = {2: 20, 3: 14}
 DEFAULT_ORACLE_FALLBACK_LIMIT = 12
-
-# The cycle diagnostic walks tuples of conflict edges; cap the edge count.
-DEFAULT_CYCLE_EDGE_BUDGET = 200
 
 BENCH_CSV_HEADER = "N,k,h,lambda,colouring,algorithm,trial,seed,rainbow_size,runtime_ms"
 
@@ -286,7 +282,9 @@ def exact_max_rainbow(colouring: Colouring, ground: GroundSet, limit: int | None
 
     Vertices are ordered by conflict-pair degree (descending, ids break
     ties); the natural-order greedy result seeds the bound, and branches
-    that cannot strictly beat the incumbent are pruned.  Deterministic.
+    that cannot strictly beat the incumbent are pruned.  Each k-edge's colour
+    is read as the index of its colour class, so the search colours nothing.
+    Deterministic.
     """
     n, k = ground.n, colouring.spec.k
     if k > n:
@@ -297,8 +295,7 @@ def exact_max_rainbow(colouring: Colouring, ground: GroundSet, limit: int | None
     hypergraph = build_conflict_hypergraph(colouring, ground, budget=budget)
     degrees = hypergraph.pair_degrees()
     order = sorted(range(n), key=lambda v: (-degrees[v], v))
-    ev = colouring.evaluator
-    value_of = {e: ev(e) for e in combinations(range(n), k)}
+    class_of = {e: i for i, edges in enumerate(hypergraph.classes) for e in edges}
 
     best = list(greedy_rainbow(colouring, ground, budget=budget).subset)
     nodes = 0
@@ -312,17 +309,17 @@ def exact_max_rainbow(colouring: Colouring, ground: GroundSet, limit: int | None
             best = list(chosen)
             return
         v = order[i]
-        new_values = set()
+        new_classes = set()
         ok = True
         for rest in combinations(chosen, k - 1):
-            value = value_of[tuple(sorted(rest + (v,)))]
-            if value in used or value in new_values:
+            index = class_of[tuple(sorted(rest + (v,)))]
+            if index in used or index in new_classes:
                 ok = False
                 break
-            new_values.add(value)
+            new_classes.add(index)
         if ok:
             chosen.append(v)
-            extend(i + 1, chosen, used | new_values)
+            extend(i + 1, chosen, used | new_classes)
             chosen.pop()
         extend(i + 1, chosen, used)
 
@@ -332,73 +329,6 @@ def exact_max_rainbow(colouring: Colouring, ground: GroundSet, limit: int | None
     runtime_ms = (time.perf_counter() - t0) * 1000.0
     stats = {"nodes_explored": nodes, "conflict_pairs": hypergraph.num_pairs}
     return RainbowResult(subset, "exact", None, verified, stats, runtime_ms)
-
-
-def count_short_cycles(hypergraph: ConflictHypergraph, max_len: int = 4,
-                       edge_budget: int = DEFAULT_CYCLE_EDGE_BUDGET) -> dict[int, int]:
-    """Count Berge cycles of length 2..max_len among the deduplicated conflict edges.
-
-    A cycle of length L >= 3 is L distinct edges e_1..e_L plus L distinct
-    vertices v_1..v_L with v_i in e_i ∩ e_{i+1} (cyclically), counted up to
-    rotation and reflection.  Length 2 counts unordered pairs of edges
-    sharing at least two vertices.  Diagnostic only.
-    """
-    if not 2 <= max_len <= 4:
-        raise ParameterError(f"cycle length must be in [2, 4], got {max_len}")
-    edge_sets = [set(e.vertices) for e in hypergraph.edges]
-    m = len(edge_sets)
-    require_budget(m, edge_budget, "index", "cycle diagnostic", "conflict edges")
-    counts = {length: 0 for length in range(2, max_len + 1)}
-
-    for i, j in combinations(range(m), 2):
-        if len(edge_sets[i] & edge_sets[j]) >= 2:
-            counts[2] += 1
-
-    if max_len < 3:
-        return counts
-
-    adjacency = [
-        [j for j in range(m) if j != i and edge_sets[i] & edge_sets[j]] for i in range(m)
-    ]
-
-    def distinct_vertex_choices(seq: list[int]) -> int:
-        links = [edge_sets[a] & edge_sets[b] for a, b in zip(seq, seq[1:] + seq[:1])]
-        total = 0
-
-        def pick(idx: int, taken: set) -> None:
-            nonlocal total
-            if idx == len(links):
-                total += 1
-                return
-            for v in links[idx]:
-                if v not in taken:
-                    taken.add(v)
-                    pick(idx + 1, taken)
-                    taken.remove(v)
-
-        pick(0, set())
-        return total
-
-    for length in range(3, max_len + 1):
-        total = 0
-
-        # enumerate edge sequences with the minimal index first; each cycle
-        # class then appears exactly twice (once per direction)
-        def walk(seq: list[int], start: int) -> None:
-            nonlocal total
-            if len(seq) == length:
-                if edge_sets[seq[-1]] & edge_sets[start]:
-                    total += distinct_vertex_choices(seq)
-                return
-            for nxt in adjacency[seq[-1]]:
-                if nxt > start and nxt not in seq:
-                    walk(seq + [nxt], start)
-
-        for start in range(m):
-            walk([start], start)
-        assert total % 2 == 0
-        counts[length] = total // 2
-    return counts
 
 
 def estimate_exponent(records: list[BenchRecord]) -> ExponentFit:

@@ -95,41 +95,33 @@ class SunflowerReport:
 
 
 @dataclass(frozen=True)
-class ConflictEdge:
-    """The union A∪B shared by one or more monochromatic k-edge pairs."""
-
-    vertices: tuple[int, ...]
-    pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-
-@dataclass(frozen=True)
 class ConflictHypergraph:
     """Conflict structure whose independent sets are exactly the rainbow sets.
 
-    Each edge records the union of a pair of distinct same-coloured k-edges;
-    a subset of the ground set is rainbow iff it contains no recorded pair
-    with both members inside it.
+    ``classes`` holds the colour classes, each a tuple of sorted k-edges; a
+    subset of the ground set is rainbow iff no two distinct edges of one
+    class both lie inside it.  Every such pair is a conflict pair.
     """
 
     ground: GroundSet
-    k: int
-    edges: tuple[ConflictEdge, ...]
+    classes: tuple[tuple[tuple[int, ...], ...], ...]
 
     @property
     def num_pairs(self) -> int:
-        return sum(len(e.pairs) for e in self.edges)
-
-    def iter_pairs(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-        for edge in self.edges:
-            yield from edge.pairs
+        return sum(math.comb(len(edges), 2) for edges in self.classes)
 
     def pair_degrees(self) -> list[int]:
-        """Number of generating pairs whose union contains each vertex."""
+        """Number of conflict pairs whose union A∪B contains each vertex.
+
+        A vertex lying in d of a class's m edges lies in neither edge of
+        exactly C(m - d, 2) of the class's C(m, 2) pairs, so no pair is
+        enumerated.
+        """
         deg = [0] * self.ground.n
-        for edge in self.edges:
-            weight = len(edge.pairs)
-            for v in edge.vertices:
-                deg[v] += weight
+        for edges in self.classes:
+            m = len(edges)
+            for v, d in Counter(v for e in edges for v in e).items():
+                deg[v] += math.comb(m, 2) - math.comb(m - d, 2)
         return deg
 
 
@@ -224,21 +216,12 @@ def validate_lambda(
 def build_conflict_hypergraph(
     colouring: Colouring, ground: GroundSet, budget: int = DEFAULT_BUDGET
 ) -> ConflictHypergraph:
-    """Record the union A∪B of every pair of distinct same-coloured k-edges.
+    """Group the k-edges into colour classes, budgeting their conflict pairs.
 
-    Unions are deduplicated by vertex set but keep all generating pairs, so
-    the number of pairs equals the sum of C(class size, 2) over colour
-    classes.  Pair enumeration counts against the budget.
+    The conflict pairs number the sum of C(class size, 2) over the classes;
+    that count is checked against the budget, though no pair is enumerated.
     """
     classes = colour_classes(colouring, ground, budget=budget)
-    total_pairs = sum(math.comb(len(edges), 2) for edges in classes.values())
-    require_budget(total_pairs, budget, "index", "conflict pair enumeration", "pairs")
-    by_union: dict[tuple[int, ...], list] = defaultdict(list)
-    for key in sorted(classes):
-        for a, b in combinations(classes[key], 2):
-            union = tuple(sorted(set(a) | set(b)))
-            by_union[union].append((a, b))
-    edges = tuple(
-        ConflictEdge(vertices=u, pairs=tuple(ps)) for u, ps in sorted(by_union.items())
-    )
-    return ConflictHypergraph(ground=ground, k=colouring.spec.k, edges=edges)
+    hypergraph = ConflictHypergraph(ground, tuple(tuple(edges) for edges in classes.values()))
+    require_budget(hypergraph.num_pairs, budget, "index", "conflict pair enumeration", "pairs")
+    return hypergraph

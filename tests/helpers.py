@@ -1,14 +1,14 @@
 """Shared fixtures-in-spirit: reference colourings and independent oracles.
 
 The oracles here deliberately re-derive everything from first principles
-(direct enumeration over cores, labelled cycle walks) so the engine is never
-checked against itself.
+(direct enumeration over cores and over pairs of edges) so the engine is
+never checked against itself.
 """
 
 import random
 from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations
 
 from rainbowsets.engine import _splitmix64
 from rainbowsets.hypergraph import Colouring, ColouringSpec
@@ -54,26 +54,21 @@ def brute_force_max_petals(colouring: Colouring, n: int, h: int) -> int:
     return best
 
 
-def brute_force_short_cycles(hypergraph, max_len: int) -> dict[int, int]:
-    """Independent Berge-cycle count: all labelled tuples divided by 2L."""
-    edge_sets = [set(e.vertices) for e in hypergraph.edges]
-    m = len(edge_sets)
-    counts = {length: 0 for length in range(2, max_len + 1)}
-    for i, j in combinations(range(m), 2):
-        if len(edge_sets[i] & edge_sets[j]) >= 2:
-            counts[2] += 1
-    for length in range(3, max_len + 1):
-        total = 0
-        for seq in permutations(range(m), length):
-            links = [edge_sets[a] & edge_sets[b] for a, b in zip(seq, seq[1:] + seq[:1])]
-            if any(not link for link in links):
-                continue
-            for choice in product(*links):
-                if len(set(choice)) == length:
-                    total += 1
-        assert total % (2 * length) == 0
-        counts[length] = total // (2 * length)
-    return counts
+def brute_force_pair_degrees(colouring: Colouring, n: int) -> tuple[list[int], int]:
+    """Independent conflict-pair count: walk every pair of same-coloured k-edges.
+
+    Returns, for each vertex, the number of pairs (A, B) with the vertex in
+    A∪B, and the total number of pairs.
+    """
+    edges = list(combinations(range(n), colouring.spec.k))
+    degrees = [0] * n
+    pairs = 0
+    for a, b in combinations(edges, 2):
+        if colouring.evaluator(a) == colouring.evaluator(b):
+            pairs += 1
+            for v in set(a) | set(b):
+                degrees[v] += 1
+    return degrees, pairs
 
 
 def all_subsets(n: int):

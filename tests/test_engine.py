@@ -5,7 +5,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    brute_force_short_cycles,
     constant_colouring,
     injective_colouring,
     random_colouring,
@@ -18,7 +17,6 @@ from rainbowsets.engine import (
     SamplePlan,
     bench_csv,
     bench_trials,
-    count_short_cycles,
     derive_seed,
     estimate_exponent,
     exact_max_rainbow,
@@ -28,7 +26,7 @@ from rainbowsets.engine import (
     verify_rainbow,
 )
 from rainbowsets.errors import BudgetError, ParameterError
-from rainbowsets.hypergraph import Colouring, ColouringSpec, GroundSet, build_conflict_hypergraph
+from rainbowsets.hypergraph import Colouring, ColouringSpec, GroundSet
 
 
 def sidon_instance(n):
@@ -282,6 +280,41 @@ def test_exact_monotone_in_ground_set():
             prev = size
 
 
+def counting_colouring(colouring):
+    """The same colouring, with an evaluator that records every edge it colours."""
+    calls = []
+
+    def evaluator(edge):
+        calls.append(edge)
+        return colouring.evaluator(edge)
+
+    return Colouring(colouring.spec, evaluator, colouring.label), calls
+
+
+def test_exact_colours_each_edge_once():
+    # one colour pass for the classes, then the greedy seed and the final
+    # check; the search itself reads class indices and colours nothing
+    g = GroundSet(9)
+    c, calls = counting_colouring(random_colouring(3, k=3, h=2, palette=6))
+    greedy_rainbow(c, g)
+    greedy_calls = len(calls)
+    calls.clear()
+    result = exact_max_rainbow(c, g)
+    assert result.verified
+    expected = math.comb(9, 3) + greedy_calls + math.comb(result.size, 3)
+    assert len(calls) == expected == 104
+
+
+@pytest.mark.parametrize("n,optimum", [(25, 6), (26, 7), (34, 7), (35, 8)])
+def test_exact_sidon_matches_golomb_rulers(n, optimum):
+    # optimal Golomb rulers (OEIS A003022): 7 marks need length 25 and
+    # 8 marks need length 34, so 1..25 and 1..34 just miss them
+    c, g = sidon_instance(n)
+    result = exact_max_rainbow(c, g, limit=n)
+    assert result.size == optimum
+    assert result.verified
+
+
 # ---------------------------------------------------------------- verify
 
 
@@ -301,50 +334,6 @@ def test_verify_budget():
     c, _ = sidon_instance(30)
     with pytest.raises(BudgetError):
         verify_rainbow(c, tuple(range(30)), budget=10)
-
-
-# ---------------------------------------------------------------- cycles
-
-
-def test_cycles_no_edges():
-    hg = build_conflict_hypergraph(injective_colouring(k=2), GroundSet(5))
-    assert count_short_cycles(hg) == {2: 0, 3: 0, 4: 0}
-
-
-def test_cycles_two_overlapping_edges():
-    c = constant_colouring(k=2)
-    hg = build_conflict_hypergraph(c, GroundSet(3))
-    # single deduplicated conflict edge: no pair of edges at all
-    assert count_short_cycles(hg)[2] == 0
-
-    from rainbowsets.hypergraph import ConflictEdge, ConflictHypergraph
-
-    hand = ConflictHypergraph(
-        ground=GroundSet(4),
-        k=2,
-        edges=(
-            ConflictEdge((0, 1, 2), (((0, 1), (1, 2)),)),
-            ConflictEdge((1, 2, 3), (((1, 2), (2, 3)),)),
-        ),
-    )
-    assert count_short_cycles(hand)[2] == 1
-
-
-def test_cycles_match_brute_force():
-    cases = [constant_colouring(k=2)] + [
-        random_colouring(seed, k=2, h=1, palette=2) for seed in range(4)
-    ]
-    for c in cases:
-        hg = build_conflict_hypergraph(c, GroundSet(4))
-        assert count_short_cycles(hg, max_len=4) == brute_force_short_cycles(hg, 4)
-
-
-def test_cycles_parameter_and_budget():
-    hg = build_conflict_hypergraph(constant_colouring(k=2), GroundSet(4))
-    with pytest.raises(ParameterError):
-        count_short_cycles(hg, max_len=5)
-    with pytest.raises(BudgetError):
-        count_short_cycles(hg, edge_budget=1)
 
 
 # ------------------------------------------------------------- exponent

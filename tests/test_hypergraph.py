@@ -1,11 +1,15 @@
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     all_subsets,
     brute_force_max_petals,
+    brute_force_pair_degrees,
     constant_colouring,
     injective_colouring,
     random_colouring,
@@ -23,6 +27,7 @@ from rainbowsets.hypergraph import (
     max_monochromatic_sunflower,
     validate_lambda,
 )
+from rainbowsets.keys import canonical_key
 
 
 def test_enumerate_counts_and_order():
@@ -95,6 +100,47 @@ def test_colour_classes_partition():
         classes = colour_classes(c, GroundSet(7))
         edges = sorted(e for group in classes.values() for e in group)
         assert edges == sorted(combinations(range(7), 3))
+
+
+# small leaves, so that hypothesis often draws equal values of different types
+# and values whose encodings could run together
+COLOUR_LEAVES = (
+    st.integers(-12, 12)
+    | st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    | st.text(alphabet="12,():bs", max_size=3)
+    | st.binary(max_size=2)
+)
+COLOUR_VALUES = st.recursive(
+    COLOUR_LEAVES, lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=6
+)
+
+
+def as_fractions(value):
+    """The same value with every integer replaced by an equal Fraction."""
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, tuple):
+        return tuple(as_fractions(v) for v in value)
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(COLOUR_VALUES, max_size=30))
+@example(values=[3, Fraction(3), "3", b"3", (3,), ((3,),), ()])
+@example(values=[(1, 2), (12,), ("1", "2"), ("1,s2",), ("12",)])
+def test_canonical_key_is_injective(values):
+    # keys agree exactly when the values are equal, so 3 and Fraction(3) share one
+    for a, b in combinations(values, 2):
+        assert (canonical_key(a) == canonical_key(b)) == (a == b)
+    for a in values:
+        assert canonical_key(as_fractions(a)) == canonical_key(a)
+
+
+def test_canonical_key_rejects_booleans():
+    assert canonical_key(3) == canonical_key(Fraction(3))
+    for value in (True, False, (1, True), ((False,),)):
+        with pytest.raises(TypeError):
+            canonical_key(value)
 
 
 def test_evaluator_purity_and_symmetry():
@@ -183,40 +229,53 @@ def test_validate_lambda_injective():
 
 def test_conflict_injective_empty():
     hg = build_conflict_hypergraph(injective_colouring(k=2), GroundSet(6))
-    assert hg.edges == ()
+    assert all(len(edges) == 1 for edges in hg.classes)
     assert hg.num_pairs == 0
 
 
 def test_conflict_constant_n3():
     hg = build_conflict_hypergraph(constant_colouring(k=2), GroundSet(3))
-    assert len(hg.edges) == 1
-    edge = hg.edges[0]
-    assert edge.vertices == (0, 1, 2)
-    assert len(edge.pairs) == 3
+    assert hg.classes == (((0, 1), (0, 2), (1, 2)),)
     assert hg.num_pairs == 3
 
 
 def test_conflict_sidon_123():
     c = sidon_colouring(IntegerInstance(values=(1, 2, 3)))
     hg = build_conflict_hypergraph(c, GroundSet(3))
-    assert len(hg.edges) == 1
-    assert hg.edges[0].vertices == (0, 1, 2)
-    assert hg.edges[0].pairs == (((0, 1), (1, 2)),)
+    assert sorted(hg.classes) == [((0, 1), (1, 2)), ((0, 2),)]
+    assert hg.num_pairs == 1
 
 
 def test_conflict_pair_count_and_union_sizes():
     for seed in range(6):
         c = random_colouring(seed, k=3, h=2, palette=3)
-        ground = GroundSet(8)
-        classes = colour_classes(c, ground)
-        hg = build_conflict_hypergraph(c, ground)
-        assert hg.num_pairs == sum(math.comb(len(v), 2) for v in classes.values())
-        for edge in hg.edges:
-            assert 4 <= len(edge.vertices) <= 6
-            for a, b in edge.pairs:
-                assert a != b
-                assert c.colour_key(a) == c.colour_key(b)
-                assert tuple(sorted(set(a) | set(b))) == edge.vertices
+        hg = build_conflict_hypergraph(c, GroundSet(8))
+        assert sorted(e for edges in hg.classes for e in edges) == sorted(
+            combinations(range(8), 3))
+        keys = [{c.colour_key(e) for e in edges} for edges in hg.classes]
+        assert all(len(key) == 1 for key in keys)
+        assert len(set.union(*keys)) == len(hg.classes)
+        assert hg.num_pairs == sum(math.comb(len(edges), 2) for edges in hg.classes)
+        for edges in hg.classes:
+            for a, b in combinations(edges, 2):
+                assert 4 <= len(set(a) | set(b)) <= 6
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    colour_seed=st.integers(0, 2**32),
+    k=st.sampled_from([2, 3]),
+    n=st.integers(3, 10),
+    palette=st.integers(1, 6),
+)
+@example(colour_seed=0, k=3, n=10, palette=1)
+def test_conflict_degrees_match_pair_enumeration(colour_seed, k, n, palette):
+    # degrees come from per-class incidence counts, never from the pairs
+    c = random_colouring(colour_seed, k=k, h=1, palette=palette)
+    hg = build_conflict_hypergraph(c, GroundSet(n))
+    degrees, pairs = brute_force_pair_degrees(c, n)
+    assert hg.pair_degrees() == degrees
+    assert hg.num_pairs == pairs
 
 
 def test_conflict_budget():
@@ -242,7 +301,7 @@ def test_rainbow_iff_independent():
         c = random_colouring(seed, k=2, h=1, palette=3)
         ground = GroundSet(7)
         hg = build_conflict_hypergraph(c, ground)
-        pairs = list(hg.iter_pairs())
+        pairs = [pair for edges in hg.classes for pair in combinations(edges, 2)]
         for subset in all_subsets(7):
             s = set(subset)
             independent = not any(set(a) <= s and set(b) <= s for a, b in pairs)
