@@ -35,22 +35,33 @@ def _write_manifest(out: str, payload: dict) -> None:
     _write(out + ".manifest.json", _dump_json(payload))
 
 
+def _read_file(path: str, parse):
+    """``parse`` of the JSON in ``path``; a malformed body is a ParameterError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except ParameterError:
+        raise
+    except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise ParameterError(f"malformed {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def _load_instance(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    kind = obj.get("type")
-    if kind == "points":
-        return geometry.points_from_obj(obj)
-    if kind == "integers":
-        return algebra.integers_from_obj(obj)
-    raise ParameterError(f"unknown instance type {kind!r} in {path}")
+    def parse(obj):
+        kind = obj.get("type")
+        if kind == "points":
+            return geometry.points_from_obj(obj)
+        if kind == "integers":
+            return algebra.integers_from_obj(obj)
+        raise ParameterError(f"unknown instance type {kind!r} in {path}")
+
+    return _read_file(path, parse)
 
 
 def _load_poly(path: str | None) -> algebra.SymPoly:
     if path is None:
         raise ParameterError("the poly colouring needs --poly <file>")
-    with open(path, "r", encoding="utf-8") as fh:
-        return algebra.sympoly_from_obj(json.load(fh))
+    return _read_file(path, algebra.sympoly_from_obj)
 
 
 class _Setup:
@@ -370,3 +381,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

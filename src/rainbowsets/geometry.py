@@ -11,6 +11,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, permutations
 
 from .errors import (
@@ -57,33 +58,8 @@ def det_exact(matrix: list[list[Fraction]]) -> Fraction:
     return det
 
 
-def solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve a square rational system; None when singular."""
-    n = len(matrix)
-    m = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [a * inv for a in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
-
-
-def squared_volume(points) -> Fraction:
-    """Squared d-volume of the simplex on d+1 points in dimension d.
-
-    Computed from the bordered squared-distance determinant:
-    Vol^2 = (-1)^(d+1) / (2^d (d!)^2) * det M with M the (d+2)x(d+2) matrix
-    whose first row and column are (0, 1, ..., 1) and whose interior holds
-    the pairwise squared distances.  Zero iff the points are affinely
-    dependent.
-    """
+def _simplex_distances(points) -> list[list[Fraction]]:
+    """Squared-distance matrix of d+1 points in dimension d; ParameterError otherwise."""
     pts = [as_point(p) for p in points]
     if not pts:
         raise ParameterError("no points given")
@@ -92,56 +68,77 @@ def squared_volume(points) -> Fraction:
         raise ParameterError("points have mixed dimensions")
     if len(pts) != d + 1:
         raise ParameterError(f"need d+1={d + 1} points in dimension {d}, got {len(pts)}")
-    size = d + 2
-    m = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(1, size):
-        m[0][i] = Fraction(1)
-        m[i][0] = Fraction(1)
-    for i in range(d + 1):
-        for j in range(d + 1):
-            m[i + 1][j + 1] = squared_distance(pts[i], pts[j])
+    return _distance_matrix(pts)
+
+
+def _distance_matrix(pts) -> list[list[Fraction]]:
+    return [[squared_distance(p, q) for q in pts] for p in pts]
+
+
+def _cayley_menger(dist, idxs) -> Fraction:
+    """Determinant of the chosen points' distance matrix bordered by (0, 1, ..., 1).
+
+    Zero iff the points are affinely dependent: d+1 points on a hyperplane.
+    """
+    rows = [[Fraction(0)] + [Fraction(1)] * len(idxs)]
+    rows += [[Fraction(1)] + [dist[i][j] for j in idxs] for i in idxs]
+    return det_exact(rows)
+
+
+def _distance_det(dist, idxs) -> Fraction:
+    """Determinant of the chosen points' squared-distance matrix.
+
+    On d+2 points in dimension d it is -(-2)^d times the square of the lifted
+    determinant with rows (|x|^2, x, 1): zero iff they share a sphere or hyperplane.
+    """
+    return det_exact([[dist[i][j] for j in idxs] for i in idxs])
+
+
+def _volume(dist, idxs) -> Fraction:
+    d = len(idxs) - 1
     coefficient = Fraction((-1) ** (d + 1), (2 ** d) * math.factorial(d) ** 2)
-    return coefficient * det_exact(m)
+    return coefficient * _cayley_menger(dist, idxs)
+
+
+def _circumradius(dist, idxs) -> Fraction:
+    bordered = _cayley_menger(dist, idxs)
+    if bordered == 0:
+        raise DegenerateInputError("points are affinely dependent; no circumsphere")
+    return -_distance_det(dist, idxs) / (2 * bordered)
+
+
+def _similarity_profile(dist, idxs) -> tuple[Fraction, ...]:
+    total = sum(dist[i][j] for i in idxs for j in idxs)
+    scaled = [[dist[i][j] / total for j in idxs] for i in idxs]
+    n = len(idxs)
+    return min(
+        tuple(scaled[perm[a]][perm[b]] for a in range(n) for b in range(a + 1, n))
+        for perm in permutations(range(n))
+    )
+
+
+def squared_volume(points) -> Fraction:
+    """Squared d-volume of the simplex on d+1 points in dimension d.
+
+    Computed from the bordered squared-distance (Cayley-Menger) determinant:
+    Vol^2 = (-1)^(d+1) / (2^d (d!)^2) * det M with M the (d+2)x(d+2) matrix
+    whose first row and column are (0, 1, ..., 1) and whose interior holds
+    the pairwise squared distances.  Zero iff the points are affinely
+    dependent.
+    """
+    dist = _simplex_distances(points)
+    return _volume(dist, range(len(dist)))
 
 
 def squared_circumradius(points) -> Fraction:
     """Exact squared circumradius of the simplex through d+1 independent points.
 
-    Solves the linear system for the centre equidistant from all points and
-    re-substitutes to confirm that every squared distance agrees.
+    R^2 = -det D / (2 det M), with D the squared-distance matrix and M the
+    bordered one of ``squared_volume``; M is singular iff the points are
+    affinely dependent.
     """
-    pts = [as_point(p) for p in points]
-    if squared_volume(pts) == 0:
-        raise DegenerateInputError("points are affinely dependent; no circumsphere")
-    d = len(pts[0])
-    p0 = pts[0]
-    norm0 = sum(c * c for c in p0)
-    matrix = []
-    rhs = []
-    for p in pts[1:]:
-        matrix.append([2 * (a - b) for a, b in zip(p, p0)])
-        rhs.append(sum(c * c for c in p) - norm0)
-    centre = solve_exact(matrix, rhs)
-    assert centre is not None, "independent points gave a singular centre system"
-    r2 = squared_distance(tuple(centre), p0)
-    for p in pts[1:]:
-        assert squared_distance(tuple(centre), p) == r2
-    return r2
-
-
-def _similarity_profile(pts: list[Point]) -> tuple[Fraction, ...]:
-    n = len(pts)
-    dist = [[squared_distance(pts[i], pts[j]) for j in range(n)] for i in range(n)]
-    total = sum(dist[i][j] for i in range(n) for j in range(n))
-    best = None
-    for perm in permutations(range(n)):
-        profile = tuple(
-            dist[perm[i]][perm[j]] / total for i in range(n) for j in range(i + 1, n)
-        )
-        if best is None or profile < best:
-            best = profile
-    assert best is not None
-    return best
+    dist = _simplex_distances(points)
+    return _circumradius(dist, range(len(dist)))
 
 
 def similarity_canonical_form(points) -> bytes:
@@ -153,10 +150,11 @@ def similarity_canonical_form(points) -> bytes:
     matrices determine point tuples up to isometry, so two tuples share a key
     iff they are similar.
     """
-    pts = [as_point(p) for p in points]
-    if squared_volume(pts) == 0:
+    dist = _simplex_distances(points)
+    idxs = range(len(dist))
+    if _cayley_menger(dist, idxs) == 0:
         raise DegenerateInputError("points are affinely dependent; no similarity type")
-    return canonical_key(_similarity_profile(pts))
+    return canonical_key(_similarity_profile(dist, idxs))
 
 
 @dataclass(frozen=True)
@@ -212,10 +210,9 @@ def find_hyperplane_violation(inst: PointInstance, budget: int = DEFAULT_BUDGET)
     if n < d + 1:
         return None
     require_budget(math.comb(n, d + 1), budget, "verify", "hyperplane check", "subsets")
-    for idxs in combinations(range(n), d + 1):
-        if squared_volume([inst.points[i] for i in idxs]) == 0:
-            return idxs
-    return None
+    dist = _distance_matrix(inst.points)
+    return next((idxs for idxs in combinations(range(n), d + 1)
+                 if _cayley_menger(dist, idxs) == 0), None)
 
 
 def check_no_hyperplane(inst: PointInstance, budget: int = DEFAULT_BUDGET) -> bool:
@@ -223,25 +220,18 @@ def check_no_hyperplane(inst: PointInstance, budget: int = DEFAULT_BUDGET) -> bo
     return find_hyperplane_violation(inst, budget=budget) is None
 
 
-def _lifted_matrix(pts: list[Point]) -> list[list[Fraction]]:
-    # rows [ |x|^2, x_1..x_d, 1 ]; zero determinant means the d+2 points lie
-    # on a common sphere (or hyperplane, excluded by the earlier check)
-    rows = []
-    for p in pts:
-        rows.append([sum(c * c for c in p), *p, Fraction(1)])
-    return rows
-
-
 def find_sphere_violation(inst: PointInstance, budget: int = DEFAULT_BUDGET):
-    """First (d+2)-subset on a common (d-1)-sphere; requires the hyperplane check first."""
+    """First (d+2)-subset on a common (d-1)-sphere or hyperplane, as index tuple.
+
+    None if there is none; a witness may be cospherical or cohyperplanar.
+    """
     n, d = len(inst), inst.dim
     if n < d + 2:
         return None
     require_budget(math.comb(n, d + 2), budget, "verify", "sphere check", "subsets")
-    for idxs in combinations(range(n), d + 2):
-        if det_exact(_lifted_matrix([inst.points[i] for i in idxs])) == 0:
-            return idxs
-    return None
+    dist = _distance_matrix(inst.points)
+    return next((idxs for idxs in combinations(range(n), d + 2)
+                 if _distance_det(dist, idxs) == 0), None)
 
 
 def check_no_sphere(inst: PointInstance, budget: int = DEFAULT_BUDGET) -> bool:
@@ -270,6 +260,7 @@ def generate_general_position(n: int, dim: int, seed: int, coord_bound: int | No
         max_attempts = DEFAULT_REJECTION_FACTOR * n
     rng = random.Random(seed)
     accepted: list[Point] = []
+    dist: list[list[Fraction]] = []  # squared distances among the accepted points
     attempts = 0
     while len(accepted) < n:
         if attempts >= max_attempts:
@@ -282,18 +273,17 @@ def generate_general_position(n: int, dim: int, seed: int, coord_bound: int | No
         candidate = tuple(Fraction(rng.randint(0, coord_bound)) for _ in range(dim))
         if candidate in accepted:
             continue
-        ok = True
-        for prior in combinations(accepted, dim):
-            if squared_volume(list(prior) + [candidate]) == 0:
-                ok = False
-                break
-        if ok:
-            for prior in combinations(accepted, dim + 1):
-                if det_exact(_lifted_matrix(list(prior) + [candidate])) == 0:
-                    ok = False
-                    break
-        if ok:
-            accepted.append(candidate)
+        # the candidate takes the last index, so every subset tried ends with it
+        row = [squared_distance(p, candidate) for p in accepted]
+        trial = [r + [x] for r, x in zip(dist, row)] + [row + [Fraction(0)]]
+        prefix, last = range(len(accepted)), (len(accepted),)
+        on_hyperplane = any(_cayley_menger(trial, prior + last) == 0
+                            for prior in combinations(prefix, dim))
+        if on_hyperplane or any(_distance_det(trial, prior + last) == 0
+                                for prior in combinations(prefix, dim + 1)):
+            continue
+        accepted.append(candidate)
+        dist = trial
     return PointInstance(dim=dim, points=tuple(accepted), no_hyperplane=True, no_sphere=True)
 
 
@@ -307,41 +297,27 @@ def _require_flags(inst: PointInstance, sphere: bool, what: str) -> None:
 def circumradius_colouring(inst: PointInstance) -> Colouring:
     """Colour (d+1)-tuples by exact squared circumradius; at most 2 petals per core."""
     _require_flags(inst, sphere=True, what="circumradius colouring")
-    d = inst.dim
-    pts = inst.points
-    spec = ColouringSpec(k=d + 1, h=d, max_petals=2)
-
-    def evaluator(ids: tuple[int, ...]):
-        return squared_circumradius([pts[i] for i in ids])
-
-    return Colouring(spec=spec, evaluator=evaluator, label="circumradius")
+    spec = ColouringSpec(k=inst.dim + 1, h=inst.dim, max_petals=2)
+    return Colouring(spec, partial(_circumradius, _distance_matrix(inst.points)), "circumradius")
 
 
 def volume_colouring(inst: PointInstance) -> Colouring:
     """Colour (d+1)-tuples by exact squared volume; at most 2d petals per core."""
     _require_flags(inst, sphere=False, what="volume colouring")
-    d = inst.dim
-    pts = inst.points
-    spec = ColouringSpec(k=d + 1, h=d, max_petals=2 * d)
-
-    def evaluator(ids: tuple[int, ...]):
-        return squared_volume([pts[i] for i in ids])
-
-    return Colouring(spec=spec, evaluator=evaluator, label="volume")
+    spec = ColouringSpec(k=inst.dim + 1, h=inst.dim, max_petals=2 * inst.dim)
+    return Colouring(spec, partial(_volume, _distance_matrix(inst.points)), "volume")
 
 
 def similarity_colouring(inst: PointInstance) -> Colouring:
     """Colour (d+1)-tuples by similarity class; at most 2(d+1)! petals per core."""
     _require_flags(inst, sphere=False, what="similarity colouring")
-    d = inst.dim
-    pts = inst.points
-    spec = ColouringSpec(k=d + 1, h=d, max_petals=2 * math.factorial(d + 1))
+    dist = _distance_matrix(inst.points)
+    spec = ColouringSpec(k=inst.dim + 1, h=inst.dim, max_petals=2 * math.factorial(inst.dim + 1))
 
     def evaluator(ids: tuple[int, ...]):
-        selected = [pts[i] for i in ids]
-        if squared_volume(selected) == 0:
+        if _cayley_menger(dist, ids) == 0:
             raise DegenerateInputError("degenerate tuple in similarity colouring")
-        return _similarity_profile(selected)
+        return _similarity_profile(dist, ids)
 
     return Colouring(spec=spec, evaluator=evaluator, label="similarity")
 

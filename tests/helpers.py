@@ -8,7 +8,7 @@ never checked against itself.
 import random
 from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from rainbowsets.engine import _splitmix64
 from rainbowsets.hypergraph import Colouring, ColouringSpec
@@ -133,3 +133,25 @@ def gauss_jordan_solve(matrix, rhs):
             if r != col and factor != 0:
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
     return [row[size] for row in rows]
+
+
+def leibniz_det(matrix):
+    """Determinant as the signed sum over permutations; exact, for small matrices."""
+    size = len(matrix)
+    total = Fraction(0)
+    for perm in permutations(range(size)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(size), 2))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for row, col in enumerate(perm):
+            term *= matrix[row][col]
+        total += term
+    return total
+
+
+def lifted_determinant(points):
+    """Determinant of the rows (|x|^2, x, 1) of d+2 points in dimension d.
+
+    Zero iff the points lie on a common sphere or hyperplane.
+    """
+    return leibniz_det([[sum(Fraction(c) ** 2 for c in p), *map(Fraction, p), Fraction(1)]
+                        for p in points])

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import rainbowsets
 from rainbowsets import cli
 from rainbowsets.algebra import IntegerInstance, integers_to_obj, is_b2_sequence
 from rainbowsets.engine import BENCH_CSV_HEADER, exact_max_rainbow
@@ -326,3 +331,49 @@ def test_missing_instance_is_internal_error_free(tmp_path):
     code = run("find", "--instance", str(tmp_path / "nope.json"),
                "--colouring", "sidon")
     assert code == 1
+
+
+@pytest.mark.parametrize("body", [
+    '{"type": "points", "d": 2}',                                  # no coords: KeyError
+    '{"type": "points", "d": 1, "coords": [[["1", "0"]]]}',        # ZeroDivisionError
+    '{"type": "integers", "values": ["x"]}',                       # ValueError
+    'not json',
+    '{"type": "integers"}',                                        # no values: KeyError
+    '[1, 2, 3]',                                                   # AttributeError
+])
+def test_malformed_instance_is_parameter_error(tmp_path, capsys, body):
+    path = tmp_path / "bad.json"
+    path.write_text(body)
+    assert run("find", "--instance", str(path), "--colouring", "sidon") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error: malformed") and str(path) in err
+
+
+@pytest.mark.parametrize("body", [
+    'not json',
+    '{"type": "sympoly", "field": "Q", "degree": 2}',              # no coeffs: KeyError
+    '{"type": "sympoly", "field": "Q", "degree": 1, "coeffs": [[1, 0, "1/0"]]}',
+])
+def test_malformed_poly_is_parameter_error(tmp_path, capsys, body):
+    inst = tmp_path / "ints.json"
+    run("generate", "integers-range", "--n", "10", "--out", str(inst))
+    poly = tmp_path / "poly.json"
+    poly.write_text(body)
+    assert run("find", "--instance", str(inst), "--colouring", "poly",
+               "--poly", str(poly)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error: malformed") and str(poly) in err
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    src = str(Path(rainbowsets.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+
+    def exit_code(*argv):
+        return subprocess.run([sys.executable, "-m", "rainbowsets.cli", *argv], env=env,
+                              capture_output=True, timeout=60).returncode
+
+    assert exit_code("find", "--instance", str(tmp_path / "nope.json"),
+                     "--colouring", "sidon") == 1
+    assert exit_code("find", "--colouring", "sidon") == 2

@@ -1,10 +1,14 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import gauss_jordan_solve
+from helpers import gauss_jordan_solve, lifted_determinant
 from rainbowsets.errors import (
     BudgetError,
     DegenerateInputError,
@@ -13,6 +17,7 @@ from rainbowsets.errors import (
 )
 from rainbowsets.geometry import (
     PointInstance,
+    as_point,
     check_no_hyperplane,
     check_no_sphere,
     circumradius_colouring,
@@ -108,6 +113,50 @@ def test_circumradius_equidistance_property():
         rhs = [sum(c * c for c in p) - sum(c * c for c in p0) for p in pts[1:]]
         centre = tuple(gauss_jordan_solve(matrix, rhs))
         assert all(squared_distance(centre, p) == r2 for p in pts)
+
+
+# small rational coordinates, so that dependent and cospherical sets are common
+coordinates = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+def point_lists(least, most):
+    """d + 1 + extra distinct points in dimension d = 1, 2, 3, extra in [least, most]."""
+    return st.integers(1, 3).flatmap(lambda d: st.lists(
+        st.tuples(*[coordinates] * d), min_size=d + 1 + least, max_size=d + 1 + most,
+        unique=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=point_lists(0, 0))
+@example(points=[(0, 0), (1, 0), (1, 1)])
+@example(points=[(3, 4), (5, 0), (-4, 3)])
+@example(points=[(1, 2, 2), (2, 1, -2), (-2, 2, 1), (2, -2, 1)])
+@example(points=[(0,), (3,)])
+def test_circumradius_is_distance_to_solved_centre(points):
+    # the centre solves 2(p - p0).c = |p|^2 - |p0|^2; it is unique iff the
+    # points are affinely independent
+    p0 = points[0]
+    matrix = [[2 * (a - b) for a, b in zip(p, p0)] for p in points[1:]]
+    rhs = [sum(c * c for c in p) - sum(c * c for c in p0) for p in points[1:]]
+    centre = gauss_jordan_solve(matrix, rhs)
+    if centre is None:
+        with pytest.raises(DegenerateInputError):
+            squared_circumradius(points)
+    else:
+        assert squared_circumradius(points) == squared_distance(tuple(centre), as_point(p0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=point_lists(1, 2))
+@example(points=[(0, 0), (1, 0), (1, 1), (0, 1)])
+@example(points=[(3, 4), (5, 0), (-4, 3), (0, -5)])
+@example(points=[(1, 2, 2), (2, 1, -2), (-2, 2, 1), (2, -2, 1), (0, 0, 3)])
+def test_sphere_check_matches_lifted_determinant(points):
+    d = len(points[0])
+    inst = PointInstance(dim=d, points=tuple(as_point(p) for p in points))
+    expected = next((idxs for idxs in combinations(range(len(points)), d + 2)
+                     if lifted_determinant([points[i] for i in idxs]) == 0), None)
+    assert find_sphere_violation(inst) == expected
 
 
 # --------------------------------------------------------- similarity
@@ -248,6 +297,58 @@ def test_generate_deterministic():
 def test_generate_tiny_bound_exhausts_budget():
     with pytest.raises(BudgetError):
         generate_general_position(10, 2, seed=1, coord_bound=1)
+
+
+# sha256 prefixes of the points, recorded before the generator read a distance
+# matrix: the same candidates must be accepted in the same order; bound 5 is
+# tight, so many candidates are rejected
+GENERATOR_PINS = {
+    (1, 3, 0, None): "61a9c25fc5a44e04",
+    (1, 3, 1, None): "c496ce5bcec017bc",
+    (1, 3, 7, None): "039beb7969809289",
+    (1, 6, 0, None): "59f4c7cc58bb0d38",
+    (1, 6, 1, None): "5a75ea7288dfe575",
+    (1, 6, 7, None): "abf03046a99eb039",
+    (1, 9, 0, None): "7157e991081c4dd3",
+    (1, 9, 1, None): "bbd96bcd23a8eb1f",
+    (1, 9, 7, None): "56c0e51558ea838f",
+    (1, 6, 0, 5): "5c4807d12dc516c6",
+    (1, 6, 1, 5): "30edb9786369e324",
+    (1, 6, 7, 5): "7cc3ba97697039c4",
+    (2, 3, 0, None): "4a38de533a71099a",
+    (2, 3, 1, None): "e9c824b229a6ec2d",
+    (2, 3, 7, None): "b98734728f61b6fa",
+    (2, 6, 0, None): "0ba7fee40d82772a",
+    (2, 6, 1, None): "c9b42dd5eced467e",
+    (2, 6, 7, None): "115719681895cc26",
+    (2, 9, 0, None): "d7cc6a01bced9726",
+    (2, 9, 1, None): "7672e4b7110fe3e3",
+    (2, 9, 7, None): "403c0c12af424b86",
+    (2, 8, 0, 5): "186c44f006c9a2fe",
+    (2, 8, 1, 5): "3005cfaada22e8be",
+    (2, 8, 7, 5): "4015eefbf0b8ba45",
+    (3, 3, 0, None): "d129ac0e356fa917",
+    (3, 3, 1, None): "8c55bf2a8882e88e",
+    (3, 3, 7, None): "220f3b8f4ec47259",
+    (3, 6, 0, None): "ab1577c7796c5bff",
+    (3, 6, 1, None): "6182c5574d313862",
+    (3, 6, 7, None): "26599f7d0895aaed",
+    (3, 9, 0, None): "ded32cfec09d2e2c",
+    (3, 9, 1, None): "bcd17c06048353a9",
+    (3, 9, 7, None): "6da01e5f402bfaa0",
+    (3, 8, 0, 5): "fc9aaec0769b5c86",
+    (3, 8, 1, 5): "010ced61cd01f803",
+    (3, 8, 7, 5): "500ffb8c9f1c15d0",
+}
+
+
+def test_generator_output_pinned():
+    got = {}
+    for dim, n, seed, bound in GENERATOR_PINS:
+        inst = generate_general_position(n, dim, seed, coord_bound=bound)
+        text = ";".join(",".join(str(c) for c in p) for p in inst.points)
+        got[dim, n, seed, bound] = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert got == GENERATOR_PINS
 
 
 def test_generate_parameter_errors():
