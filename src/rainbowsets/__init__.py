@@ -32,8 +32,6 @@ from .engine import (
 from .errors import BudgetError, DegenerateInputError, ParameterError, ValidationError
 from .geometry import (
     PointInstance,
-    check_no_hyperplane,
-    check_no_sphere,
     circumradius_colouring,
     generate_general_position,
     similarity_canonical_form,
@@ -79,8 +77,6 @@ __all__ = [
     "bench_trials",
     "build_conflict_hypergraph",
     "canonical_key",
-    "check_no_hyperplane",
-    "check_no_sphere",
     "circumradius_colouring",
     "colour_classes",
     "derive_seed",

@@ -204,39 +204,106 @@ class PointInstance:
         )
 
 
-def find_hyperplane_violation(inst: PointInstance, budget: int = DEFAULT_BUDGET):
-    """First (d+1)-subset with zero volume, as index tuple; None if there is none."""
-    n, d = len(inst), inst.dim
-    if n < d + 1:
+def _differences(points, origin) -> list[tuple[int, ...]]:
+    return [tuple(a - b for a, b in zip(p, origin)) for p in points]
+
+
+def _dependent(vectors, r: int) -> bool:
+    """True iff some r of the integer vectors, each of dimension r, are linearly dependent.
+
+    An r-subset is decided from its first vector u: the map v -> u_t v - v_t u,
+    with u_t != 0 and coordinate t dropped, has kernel span(u), so the subset
+    is dependent iff the images of its other r-1 vectors are.  Two vectors are
+    dependent iff they share a primitive direction up to sign.
+    """
+    if len(vectors) < r:
+        return False
+    if any(not any(v) for v in vectors):
+        return True
+    if r == 1:
+        return False
+    if r == 2:
+        seen = set()
+        for v in vectors:
+            g = math.gcd(*v)
+            if next(x for x in v if x) < 0:
+                g = -g
+            direction = tuple(x // g for x in v)
+            if direction in seen:
+                return True
+            seen.add(direction)
+        return False
+    for i, u in enumerate(vectors):
+        t = next(s for s, x in enumerate(u) if x)
+        projected = [[u[t] * v[s] - v[t] * u[s] for s in range(r) if s != t]
+                     for v in vectors[i + 1:]]
+        if _dependent(projected, r - 1):
+            return True
+    return False
+
+
+def _cospherical(ws, d: int) -> bool:
+    """True iff the origin and some d+1 of the nonzero integer vectors ws are cospherical.
+
+    A hyperplane counts as a sphere here.  Inversion about the origin,
+    w -> w / |w|^2, maps every sphere or hyperplane through it to a
+    hyperplane, so this holds iff d+1 images are affinely dependent: iff, for
+    the first of them w_j, the differences of the others from it are
+    linearly dependent.  The difference w_i/n_i - w_j/n_j, with n = |w|^2, is
+    n_j w_i - n_i w_j over the positive n_i n_j.
+    """
+    norms = [sum(x * x for x in w) for w in ws]
+    return any(
+        _dependent([[nj * a - ni * b for a, b in zip(wi, wj)]
+                    for wi, ni in zip(ws[j + 1:], norms[j + 1:])], d)
+        for j, (wj, nj) in enumerate(zip(ws, norms))
+    )
+
+
+def _integer_points(inst: PointInstance) -> list[tuple[int, ...]]:
+    """The points scaled by their common denominator; scaling keeps every sphere and hyperplane."""
+    scale = math.lcm(*(c.denominator for p in inst.points for c in p))
+    return [tuple(c.numerator * (scale // c.denominator) for c in p) for p in inst.points]
+
+
+def _first_violation(inst: PointInstance, size: int, what: str, exists, vanishes, budget: int):
+    """First size-subset on which ``vanishes`` (a determinant of the distances) is zero.
+
+    ``exists`` decides from each anchor point whether any such subset starts
+    there; the ordered determinant scan runs only when one does.
+    """
+    n = len(inst)
+    if n < size:
         return None
-    require_budget(math.comb(n, d + 1), budget, "verify", "hyperplane check", "subsets")
+    require_budget(math.comb(n, size), budget, "verify", what, "subsets")
+    pts = _integer_points(inst)
+    if not any(exists(_differences(pts[j + 1:], c), inst.dim) for j, c in enumerate(pts)):
+        return None
     dist = _distance_matrix(inst.points)
-    return next((idxs for idxs in combinations(range(n), d + 1)
-                 if _cayley_menger(dist, idxs) == 0), None)
+    return next((idxs for idxs in combinations(range(n), size)
+                 if vanishes(dist, idxs) == 0), None)
 
 
-def check_no_hyperplane(inst: PointInstance, budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff no d+1 points lie on a common hyperplane (vacuous below d+1 points)."""
-    return find_hyperplane_violation(inst, budget=budget) is None
+def find_hyperplane_violation(inst: PointInstance, budget: int = DEFAULT_BUDGET):
+    """First (d+1)-subset with zero volume, as index tuple; None if there is none.
+
+    Whether one exists is decided by hashing directions (``_dependent``); the
+    ordered Cayley-Menger scan that names the first runs only when one does.
+    """
+    return _first_violation(inst, inst.dim + 1, "hyperplane check", _dependent,
+                            _cayley_menger, budget)
 
 
 def find_sphere_violation(inst: PointInstance, budget: int = DEFAULT_BUDGET):
     """First (d+2)-subset on a common (d-1)-sphere or hyperplane, as index tuple.
 
     None if there is none; a witness may be cospherical or cohyperplanar.
+    Whether one exists is decided by inversion about each point and hashing
+    directions (``_cospherical``); the ordered scan for a zero squared-distance
+    determinant that names the first runs only when one does.
     """
-    n, d = len(inst), inst.dim
-    if n < d + 2:
-        return None
-    require_budget(math.comb(n, d + 2), budget, "verify", "sphere check", "subsets")
-    dist = _distance_matrix(inst.points)
-    return next((idxs for idxs in combinations(range(n), d + 2)
-                 if _distance_det(dist, idxs) == 0), None)
-
-
-def check_no_sphere(inst: PointInstance, budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff no d+2 points are cospherical (vacuous below d+2 points)."""
-    return find_sphere_violation(inst, budget=budget) is None
+    return _first_violation(inst, inst.dim + 2, "sphere check", _cospherical,
+                            _distance_det, budget)
 
 
 def generate_general_position(n: int, dim: int, seed: int, coord_bound: int | None = None,
@@ -259,8 +326,7 @@ def generate_general_position(n: int, dim: int, seed: int, coord_bound: int | No
     if max_attempts is None:
         max_attempts = DEFAULT_REJECTION_FACTOR * n
     rng = random.Random(seed)
-    accepted: list[Point] = []
-    dist: list[list[Fraction]] = []  # squared distances among the accepted points
+    accepted: list[tuple[int, ...]] = []
     attempts = 0
     while len(accepted) < n:
         if attempts >= max_attempts:
@@ -270,21 +336,15 @@ def generate_general_position(n: int, dim: int, seed: int, coord_bound: int | No
                 f"try a larger coord_bound (currently {coord_bound})"
             )
         attempts += 1
-        candidate = tuple(Fraction(rng.randint(0, coord_bound)) for _ in range(dim))
+        candidate = tuple(rng.randint(0, coord_bound) for _ in range(dim))
         if candidate in accepted:
             continue
-        # the candidate takes the last index, so every subset tried ends with it
-        row = [squared_distance(p, candidate) for p in accepted]
-        trial = [r + [x] for r, x in zip(dist, row)] + [row + [Fraction(0)]]
-        prefix, last = range(len(accepted)), (len(accepted),)
-        on_hyperplane = any(_cayley_menger(trial, prior + last) == 0
-                            for prior in combinations(prefix, dim))
-        if on_hyperplane or any(_distance_det(trial, prior + last) == 0
-                                for prior in combinations(prefix, dim + 1)):
+        ws = _differences(accepted, candidate)
+        if _dependent(ws, dim) or _cospherical(ws, dim):
             continue
         accepted.append(candidate)
-        dist = trial
-    return PointInstance(dim=dim, points=tuple(accepted), no_hyperplane=True, no_sphere=True)
+    return PointInstance(dim=dim, points=tuple(as_point(p) for p in accepted),
+                         no_hyperplane=True, no_sphere=True)
 
 
 def _require_flags(inst: PointInstance, sphere: bool, what: str) -> None:

@@ -155,3 +155,19 @@ def lifted_determinant(points):
     """
     return leibniz_det([[sum(Fraction(c) ** 2 for c in p), *map(Fraction, p), Fraction(1)]
                         for p in points])
+
+
+def general_position_witnesses(points):
+    """First (d+1)-subset on a hyperplane and first (d+2)-subset on a sphere or hyperplane.
+
+    Walks every subset in lexicographic order: d+1 points lie on a hyperplane
+    iff the rows (x, 1) are singular, d+2 on a sphere or hyperplane iff the
+    lifted determinant is zero.  Each witness is an index tuple or None.
+    """
+    d = len(points[0])
+    hyperplane = next((idxs for idxs in combinations(range(len(points)), d + 1)
+                       if leibniz_det([[*map(Fraction, points[i]), Fraction(1)]
+                                       for i in idxs]) == 0), None)
+    sphere = next((idxs for idxs in combinations(range(len(points)), d + 2)
+                   if lifted_determinant([points[i] for i in idxs]) == 0), None)
+    return hyperplane, sphere

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import gauss_jordan_solve, lifted_determinant
+from helpers import gauss_jordan_solve, general_position_witnesses, lifted_determinant
 from rainbowsets.errors import (
     BudgetError,
     DegenerateInputError,
@@ -18,8 +18,6 @@ from rainbowsets.errors import (
 from rainbowsets.geometry import (
     PointInstance,
     as_point,
-    check_no_hyperplane,
-    check_no_sphere,
     circumradius_colouring,
     find_hyperplane_violation,
     find_sphere_violation,
@@ -119,10 +117,10 @@ def test_circumradius_equidistance_property():
 coordinates = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 
 
-def point_lists(least, most):
+def point_lists(least, most, coords=coordinates):
     """d + 1 + extra distinct points in dimension d = 1, 2, 3, extra in [least, most]."""
     return st.integers(1, 3).flatmap(lambda d: st.lists(
-        st.tuples(*[coordinates] * d), min_size=d + 1 + least, max_size=d + 1 + most,
+        st.tuples(*[coords] * d), min_size=d + 1 + least, max_size=d + 1 + most,
         unique=True))
 
 
@@ -157,6 +155,19 @@ def test_sphere_check_matches_lifted_determinant(points):
     expected = next((idxs for idxs in combinations(range(len(points)), d + 2)
                      if lifted_determinant([points[i] for i in idxs]) == 0), None)
     assert find_sphere_violation(inst) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=point_lists(0, 3, st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))))
+@example(points=[(1, 1), (0, 0), (2, 2)])  # collinear, the first point between the others
+@example(points=[(0, 0), (1, 0), (1, 1), (0, 1)])  # the unit square
+@example(points=[(3, 3), (0, 0), (1, 2), (5, 0), (4, -2)])  # a circle through the anchor (0, 0)
+@example(points=[(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 1, 0), (0, 0, 1)])  # four coplanar
+@example(points=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0)])  # coplanar, three collinear
+def test_violations_match_determinant_oracle(points):
+    inst = PointInstance(dim=len(points[0]), points=tuple(as_point(p) for p in points))
+    found = find_hyperplane_violation(inst), find_sphere_violation(inst)
+    assert found == general_position_witnesses(points)
 
 
 # --------------------------------------------------------- similarity
@@ -203,7 +214,7 @@ def test_no_hyperplane_triangle_with_centroid():
         (Fraction(0), Fraction(3)),
         (Fraction(1), Fraction(1)),
     ))
-    assert check_no_hyperplane(inst)
+    assert find_hyperplane_violation(inst) is None
 
 
 def test_no_hyperplane_detects_collinear():
@@ -213,13 +224,12 @@ def test_no_hyperplane_detects_collinear():
         (Fraction(2), Fraction(2)),
         (Fraction(5), Fraction(0)),
     ))
-    assert not check_no_hyperplane(inst)
     assert find_hyperplane_violation(inst) == (0, 1, 2)
 
 
 def test_no_hyperplane_vacuous():
     inst = PointInstance(dim=2, points=((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))))
-    assert check_no_hyperplane(inst)
+    assert find_hyperplane_violation(inst) is None
 
 
 def test_no_sphere_square_is_concyclic():
@@ -229,7 +239,6 @@ def test_no_sphere_square_is_concyclic():
         (Fraction(1), Fraction(1)),
         (Fraction(0), Fraction(1)),
     ))
-    assert not check_no_sphere(inst)
     assert find_sphere_violation(inst) == (0, 1, 2, 3)
 
 
@@ -240,7 +249,7 @@ def test_no_sphere_generic_quadruple():
         (Fraction(0), Fraction(1)),
         (Fraction(5), Fraction(7)),
     ))
-    assert check_no_sphere(inst)
+    assert find_sphere_violation(inst) is None
 
 
 def test_no_sphere_vacuous():
@@ -249,7 +258,27 @@ def test_no_sphere_vacuous():
         (Fraction(1), Fraction(0)),
         (Fraction(0), Fraction(1)),
     ))
-    assert check_no_sphere(inst)
+    assert find_sphere_violation(inst) is None
+
+
+def test_validators_refuse_over_budget_before_computing():
+    # coordinates that admit no arithmetic: the refusal must come first
+    untouchable = PointInstance(dim=2, points=tuple((str(i), "y") for i in range(8)))
+    with pytest.raises(BudgetError) as err:
+        find_hyperplane_violation(untouchable, budget=math.comb(8, 3) - 1)
+    assert str(err.value) == "verify layer: hyperplane check needs 56 subsets; budget is 55"
+    with pytest.raises(BudgetError) as err:
+        find_sphere_violation(untouchable, budget=math.comb(8, 4) - 1)
+    assert str(err.value) == "verify layer: sphere check needs 70 subsets; budget is 69"
+
+    bare = PointInstance(dim=2, points=generate_general_position(8, 2, seed=0).points)
+    with pytest.raises(BudgetError) as err:
+        bare.validate(budget=math.comb(8, 3) - 1)
+    assert str(err.value) == "verify layer: hyperplane check needs 56 subsets; budget is 55"
+    with pytest.raises(BudgetError) as err:
+        bare.validate(budget=math.comb(8, 4) - 1)
+    assert str(err.value) == "verify layer: sphere check needs 70 subsets; budget is 69"
+    assert bare.validate(budget=math.comb(8, 4)).no_sphere
 
 
 def test_validate_flags_and_errors():
@@ -284,8 +313,8 @@ def test_generate_single_point():
 def test_generate_revalidates():
     inst = generate_general_position(4, 2, seed=123)
     assert len(inst) == 4
-    assert check_no_hyperplane(inst)
-    assert check_no_sphere(inst)
+    assert find_hyperplane_violation(inst) is None
+    assert find_sphere_violation(inst) is None
 
 
 def test_generate_deterministic():
@@ -295,8 +324,12 @@ def test_generate_deterministic():
 
 
 def test_generate_tiny_bound_exhausts_budget():
-    with pytest.raises(BudgetError):
+    # of the unit square's corners any three are placed, the fourth is concyclic
+    with pytest.raises(BudgetError) as err:
         generate_general_position(10, 2, seed=1, coord_bound=1)
+    assert str(err.value) == (
+        "generator layer: placing 10 points needs more than 10000 draws (3/10 placed); "
+        "budget is 10000 draws; try a larger coord_bound (currently 1)")
 
 
 # sha256 prefixes of the points, recorded before the generator read a distance
