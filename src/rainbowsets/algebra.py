@@ -7,6 +7,7 @@ equality is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -78,20 +79,56 @@ class SymPoly:
         return Fraction(0) if self.field == RATIONALS else 0
 
     def element(self, value):
-        """Coerce a scalar into the field (Fraction over Q, residue mod p)."""
+        """Coerce an exact scalar into the field (Fraction over Q, residue mod p).
+
+        Floats are refused in both fields, and non-integral rationals over
+        GF(p), so no value is rounded or truncated on the way in.
+        """
+        if isinstance(value, float):
+            raise ParameterError(f"float {value!r} is not an exact field element")
+        value = Fraction(value)
         if self.field == RATIONALS:
-            return Fraction(value)
-        return int(value) % self.field
+            return value
+        if value.denominator != 1:
+            raise ParameterError(f"{value} is not an integer, so not a residue mod {self.field}")
+        return value.numerator % self.field
 
     def evaluate(self, x, y):
-        x, y = self.element(x), self.element(y)
+        return self.pair_evaluator((self.element(x), self.element(y)))((0, 1))
+
+    def pair_evaluator(self, values):
+        """The map ``(a, b) -> p(values[a], values[b])`` on field elements, in integers.
+
+        Over Q the values are scaled by their common denominator L and the
+        coefficients by theirs, D, so each term becomes an integer multiple of
+        1 / (D * L**degree); over GF(p), L = D = 1 and the total is reduced
+        mod p.  Powers of every value are computed once.
+        """
+        degree = self.degree
         if self.field == RATIONALS:
-            return sum((c * x**i * y**j for (i, j), c in self.coeffs.items()), Fraction(0))
-        p = self.field
-        total = 0
-        for (i, j), c in self.coeffs.items():
-            total = (total + c * pow(x, i, p) * pow(y, j, p)) % p
-        return total
+            scale = math.lcm(*(v.denominator for v in values))
+            clear = math.lcm(*(c.denominator for c in self.coeffs.values()))
+            terms = [(i, j, (c * clear).numerator * scale ** (degree - i - j))
+                     for (i, j), c in self.coeffs.items()]
+            xs = [v.numerator * (scale // v.denominator) for v in values]
+            powers = [[x**e for e in range(degree + 1)] for x in xs]
+            denominator = clear * scale**degree
+
+            def finish(total):
+                return Fraction(total, denominator)
+        else:
+            p = self.field
+            terms = [(i, j, c) for (i, j), c in self.coeffs.items()]
+            powers = [[pow(x, e, p) for e in range(degree + 1)] for x in values]
+
+            def finish(total):
+                return total % p
+
+        def evaluator(ids: tuple[int, ...]):
+            xa, xb = powers[ids[0]], powers[ids[1]]
+            return finish(sum([c * xa[i] * xb[j] for i, j, c in terms]))
+
+        return evaluator
 
     def x_coefficient_poly(self, power: int) -> dict[int, object]:
         """The y-polynomial multiplying x**power, as a map j -> coefficient."""
@@ -165,13 +202,8 @@ def poly_colouring(prepared: PolyGround) -> Colouring:
     for v in prepared.kept:
         if poly.eval_y_poly(q, v) == poly.zero():
             raise ValidationError(f"value {v} was not prepared out (pivot polynomial vanishes)")
-    values = prepared.kept
     spec = ColouringSpec(k=2, h=1, max_petals=poly.degree)
-
-    def evaluator(ids: tuple[int, ...]):
-        return poly.evaluate(values[ids[0]], values[ids[1]])
-
-    return Colouring(spec=spec, evaluator=evaluator, label=poly.label)
+    return Colouring(spec=spec, evaluator=poly.pair_evaluator(prepared.kept), label=poly.label)
 
 
 @dataclass(frozen=True)

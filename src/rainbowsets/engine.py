@@ -281,10 +281,12 @@ def exact_max_rainbow(colouring: Colouring, ground: GroundSet, limit: int | None
     """Maximum-cardinality rainbow subset by branch and bound.
 
     Vertices are ordered by conflict-pair degree (descending, ids break
-    ties); the natural-order greedy result seeds the bound, and branches
-    that cannot strictly beat the incumbent are pruned.  Each k-edge's colour
-    is read as the index of its colour class, so the search colours nothing.
-    Deterministic.
+    ties) and the search runs on their positions in that order, so an edge
+    closing at position i is ``rest + (i,)`` with ``rest`` already sorted.
+    The natural-order greedy result seeds the bound, and branches that
+    cannot strictly beat the incumbent are pruned.  Each k-edge's colour is
+    read as one bit, that of its colour class, so the search colours nothing
+    and holds the classes in use as an int mask.  Deterministic.
     """
     n, k = ground.n, colouring.spec.k
     if k > n:
@@ -295,35 +297,35 @@ def exact_max_rainbow(colouring: Colouring, ground: GroundSet, limit: int | None
     hypergraph = build_conflict_hypergraph(colouring, ground, budget=budget)
     degrees = hypergraph.pair_degrees()
     order = sorted(range(n), key=lambda v: (-degrees[v], v))
-    class_of = {e: i for i, edges in enumerate(hypergraph.classes) for e in edges}
+    position = {v: i for i, v in enumerate(order)}
+    class_bit = {tuple(sorted(map(position.__getitem__, e))): 1 << index
+                 for index, edges in enumerate(hypergraph.classes) for e in edges}
 
     best = list(greedy_rainbow(colouring, ground, budget=budget).subset)
     nodes = 0
 
-    def extend(i: int, chosen: list[int], used: frozenset) -> None:
+    def extend(i: int, chosen: list[int], used: int) -> None:
         nonlocal best, nodes
         nodes += 1
         if len(chosen) + (n - i) <= len(best):
             return
         if i == n:
-            best = list(chosen)
+            best = [order[j] for j in chosen]
             return
-        v = order[i]
-        new_classes = set()
-        ok = True
+        closing = (i,)
+        mask = used
         for rest in combinations(chosen, k - 1):
-            index = class_of[tuple(sorted(rest + (v,)))]
-            if index in used or index in new_classes:
-                ok = False
+            bit = class_bit[rest + closing]
+            if mask & bit:
                 break
-            new_classes.add(index)
-        if ok:
-            chosen.append(v)
-            extend(i + 1, chosen, used | new_classes)
+            mask |= bit
+        else:
+            chosen.append(i)
+            extend(i + 1, chosen, mask)
             chosen.pop()
         extend(i + 1, chosen, used)
 
-    extend(0, [], frozenset())
+    extend(0, [], 0)
     subset = tuple(sorted(best))
     verified = verify_rainbow(colouring, subset, budget=budget)
     runtime_ms = (time.perf_counter() - t0) * 1000.0

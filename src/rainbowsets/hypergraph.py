@@ -166,8 +166,7 @@ def colour_class_sizes(
     """Size of every colour class of the ground set, counted without storing an edge."""
     edges = _edges_within_budget(colouring, ground, ground.vertices, budget,
                                  "colour_class_sizes")
-    ev = colouring.evaluator
-    return Counter(canonical_key(ev(e)) for e in edges)
+    return Counter(map(canonical_key, map(colouring.evaluator, edges)))
 
 
 def max_monochromatic_sunflower(

@@ -113,6 +113,19 @@ def reference_sample_and_delete(colouring: Colouring, n: int, plan) -> tuple[tup
     return tuple(sorted(kept)), stats
 
 
+def direct_poly_value(coeffs, x, y, modulus=None):
+    """p(x, y) for the coefficient map (i, j) -> c, summed one term at a time.
+
+    Over Q (``modulus`` None) every term is a Fraction; over GF(p) each term
+    is c * x^i * y^j with the powers taken by ``pow(., ., p)``.
+    """
+    if modulus is None:
+        return sum((Fraction(c) * Fraction(x) ** i * Fraction(y) ** j
+                    for (i, j), c in coeffs.items()), Fraction(0))
+    return sum(c * pow(x, i, modulus) * pow(y, j, modulus)
+               for (i, j), c in coeffs.items()) % modulus
+
+
 def gauss_jordan_solve(matrix, rhs):
     """Solve matrix . x = rhs over the rationals by Gauss-Jordan elimination.
 

@@ -2,8 +2,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
-from helpers import all_subsets
+from helpers import all_subsets, direct_poly_value
 from rainbowsets.algebra import (
     IntegerInstance,
     PolyGround,
@@ -48,6 +50,25 @@ def test_sympoly_mod_reduction():
     poly = SymPoly(5, {(1, 0): 7, (0, 1): 7})
     assert poly.coeffs == {(0, 1): 2, (1, 0): 2}
     assert poly.evaluate(2, 4) == (2 * 2 + 2 * 4) % 5
+
+
+def test_sympoly_refuses_inexact_coefficients():
+    # truncating to the integer part would silently turn 1/2 into 0 and 2.9 into 2
+    with pytest.raises(ParameterError, match="not an integer"):
+        SymPoly(7, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 2), (1, 1): 1})
+    with pytest.raises(ParameterError, match="float"):
+        SymPoly(7, {(1, 1): 2.9})
+    with pytest.raises(ParameterError, match="float"):
+        SymPoly("Q", {(1, 1): 0.1})  # would enter as a binary fraction
+    assert SymPoly(7, {(1, 1): Fraction(6, 2)}).coeffs == {(1, 1): 3}
+
+
+def test_prepare_refuses_inexact_values():
+    with pytest.raises(ParameterError, match="not an integer"):
+        poly_prepare(SymPoly(5, X_PLUS_Y), [1, Fraction(1, 2)])  # not 0
+    with pytest.raises(ParameterError, match="float"):
+        poly_prepare(SymPoly("Q", X_PLUS_Y), [1, 0.1])
+    assert poly_prepare(SymPoly(5, X_PLUS_Y), [1, Fraction(6, 2)]).kept == (1, 3)
 
 
 def test_is_prime():
@@ -150,6 +171,50 @@ def test_poly_colouring_is_pure():
         edge = tuple(rng.sample(range(len(prep.kept)), 2))
         assert c.colour_key(edge) == c.colour_key(edge)
         assert c.colour_key(edge) == c.colour_key(edge[::-1])
+
+
+@st.composite
+def poly_cases(draw):
+    """A symmetric polynomial's coefficient map, its field and distinct ground values."""
+    field = draw(st.sampled_from(["Q", 2, 3, 7, 101]))
+    degree = draw(st.integers(1, 4))
+    if field == "Q":
+        coefficient = st.fractions(-5, 5, max_denominator=6)
+        value = st.integers(-40, 40) | st.fractions(-10, 10, max_denominator=7)
+        same = Fraction
+    else:
+        coefficient = value = st.integers(-300, 300)
+
+        def same(v):
+            return v % field
+    coeffs = {}
+    for i in range(degree + 1):
+        for j in range(i, degree + 1 - i):
+            coeffs[(i, j)] = coeffs[(j, i)] = draw(coefficient)
+    values = draw(st.lists(value, min_size=2, max_size=9, unique_by=same))
+    return field, coeffs, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=poly_cases())
+@example(case=("Q", {(1, 1): Fraction(-2, 3), (1, 0): 3, (0, 1): 3, (2, 0): Fraction(1, 2),
+                     (0, 2): Fraction(1, 2)}, [Fraction(-1, 2), Fraction(5, 3), 4, -7]))
+@example(case=(7, {(1, 1): -3, (2, 0): 9, (0, 2): 9}, [-8, 3, 250]))
+def test_poly_colouring_matches_direct_evaluation(case):
+    field, coeffs, values = case
+    try:
+        poly = SymPoly(field, coeffs)
+        prep = poly_prepare(poly, values)
+    except ParameterError:
+        reject()  # zero after reduction mod p, or of degree 0
+    c = poly_colouring(prep)
+    modulus = None if field == "Q" else field
+    raw = {Fraction(v) if field == "Q" else v % field: v for v in values}
+    for a, b in combinations(range(len(prep.kept)), 2):
+        expected = direct_poly_value(coeffs, raw[prep.kept[a]], raw[prep.kept[b]], modulus)
+        value = c.evaluator((a, b))
+        assert value == expected
+        assert type(value) is type(expected)
 
 
 def test_poly_lambda_audit():

@@ -26,7 +26,7 @@ from rainbowsets.engine import (
     verify_rainbow,
 )
 from rainbowsets.errors import BudgetError, ParameterError
-from rainbowsets.hypergraph import Colouring, ColouringSpec, GroundSet
+from rainbowsets.hypergraph import Colouring, ColouringSpec, GroundSet, colour_classes
 
 
 def sidon_instance(n):
@@ -223,6 +223,20 @@ def test_sample_float_colours_raise_type_error():
         sample_and_delete(c, GroundSet(6), plan)
 
 
+@pytest.mark.parametrize("odd", [1.0, True])
+def test_every_colour_value_is_keyed(odd):
+    # 1 == 1.0 == True, so grouping by raw value would put the last edge in
+    # the class of 1 and let the float or bool through; keying every value
+    # refuses it wherever it appears.  The plan keeps no vertex, so only the
+    # counting pass over the whole ground set sees the last edge.
+    c = Colouring(ColouringSpec(2, 1, 1), lambda e: odd if e == (4, 5) else 1, "mixed")
+    plan = SamplePlan(n=6, k=2, h=1, p=1e-9, seed=0)
+    with pytest.raises(TypeError):
+        sample_and_delete(c, GroundSet(6), plan)
+    with pytest.raises(TypeError):
+        colour_classes(c, GroundSet(6))
+
+
 # ----------------------------------------------------------------- exact
 
 
@@ -313,6 +327,25 @@ def test_exact_sidon_matches_golomb_rulers(n, optimum):
     result = exact_max_rainbow(c, g, limit=n)
     assert result.size == optimum
     assert result.verified
+
+
+@pytest.mark.parametrize("n,nodes,pairs,subset", [
+    (20, 12439, 1140, (2, 7, 9, 15, 18, 19)),
+    (24, 50405, 2024, (0, 1, 3, 7, 12, 20)),
+    (26, 73682, 2600, (0, 3, 4, 12, 18, 23, 25)),
+])
+def test_exact_sidon_search_is_pinned(n, nodes, pairs, subset):
+    # visit order, pruning and tie-breaks: any change to them moves the node count
+    c, g = sidon_instance(n)
+    result = exact_max_rainbow(c, g, limit=n)
+    assert result.stats == {"nodes_explored": nodes, "conflict_pairs": pairs}
+    assert result.subset == subset
+
+
+def test_exact_k3_search_is_pinned():
+    result = exact_max_rainbow(random_colouring(3, k=3, h=2, palette=6), GroundSet(9))
+    assert result.stats == {"nodes_explored": 205, "conflict_pairs": 623}
+    assert result.subset == (0, 1, 2, 4)
 
 
 # ---------------------------------------------------------------- verify

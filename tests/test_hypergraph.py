@@ -136,6 +136,18 @@ def test_canonical_key_is_injective(values):
         assert canonical_key(as_fractions(a)) == canonical_key(a)
 
 
+@settings(max_examples=300, deadline=None)
+@given(value=st.integers(-2**80, 2**80)
+       | st.fractions()
+       | st.builds(Fraction, st.integers(-2**80, 2**80), st.integers(1, 2**70)))
+@example(value=-1)
+@example(value=2**64 + 1)
+@example(value=Fraction(-7, 3))
+@example(value=Fraction(4, 2))
+def test_canonical_key_of_numbers_is_their_decimal_text(value):
+    assert canonical_key(value) == str(value).encode("ascii")
+
+
 def test_canonical_key_rejects_booleans():
     assert canonical_key(3) == canonical_key(Fraction(3))
     for value in (True, False, (1, True), ((False,),)):
