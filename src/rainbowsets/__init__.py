@@ -34,7 +34,6 @@ from .geometry import (
     PointInstance,
     circumradius_colouring,
     generate_general_position,
-    similarity_canonical_form,
     similarity_colouring,
     squared_circumradius,
     squared_volume,
@@ -49,7 +48,6 @@ from .hypergraph import (
     SunflowerReport,
     build_conflict_hypergraph,
     colour_classes,
-    enumerate_ksubsets,
     max_monochromatic_sunflower,
     validate_lambda,
 )
@@ -80,7 +78,6 @@ __all__ = [
     "circumradius_colouring",
     "colour_classes",
     "derive_seed",
-    "enumerate_ksubsets",
     "estimate_exponent",
     "exact_max_rainbow",
     "generate_general_position",
@@ -91,7 +88,6 @@ __all__ = [
     "poly_prepare",
     "sample_and_delete",
     "sidon_colouring",
-    "similarity_canonical_form",
     "similarity_colouring",
     "squared_circumradius",
     "squared_volume",

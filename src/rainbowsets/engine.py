@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
 from statistics import fmean
@@ -20,6 +20,7 @@ from .errors import ParameterError, require_budget
 from .hypergraph import (
     DEFAULT_BUDGET,
     Colouring,
+    ConflictHypergraph,
     GroundSet,
     build_conflict_hypergraph,
     colour_class_sizes,
@@ -223,13 +224,16 @@ def sample_and_delete(colouring: Colouring, ground: GroundSet, plan: SamplePlan,
                       budget: int = DEFAULT_BUDGET) -> RainbowResult:
     """Keep each vertex with probability p, then delete surviving conflicts by hand.
 
-    After the random keep step, while any same-coloured pair (A, B) survives
-    with both members inside the kept set, the vertex of A∪B appearing in the
-    most surviving pairs is deleted (smallest id on ties).  The remainder is
-    independent in the conflict hypergraph, hence rainbow.
+    After the random keep step, the kept set's colour classes form its
+    conflict hypergraph.  While any same-coloured pair (A, B) survives inside
+    the kept set, the vertex of highest pair degree (the number of surviving
+    pairs whose union A∪B contains it; smallest id on ties) is deleted with
+    its edges.  The remainder is independent in the conflict hypergraph,
+    hence rainbow.
 
-    Only pairs inside the kept set can matter, so only those are enumerated
-    and budgeted; the ground set's colour classes are merely counted, for
+    Only pairs inside the kept set can matter, so only those are budgeted;
+    their degrees come in closed form from the class sizes and no pair is
+    listed.  The ground set's colour classes are merely counted, for
     ``pairs_total``, after C(N, k) colour evaluations are checked against the
     budget.
     """
@@ -247,21 +251,19 @@ def sample_and_delete(colouring: Colouring, ground: GroundSet, plan: SamplePlan,
     kept_after_sampling = len(kept)
 
     classes = colour_classes(colouring, ground, budget=budget, vertices=sorted(kept))
-    pairs_after_sampling = sum(math.comb(len(edges), 2) for edges in classes.values())
+    hypergraph = ConflictHypergraph(
+        ground, tuple(tuple(edges) for edges in classes.values() if len(edges) > 1))
+    pairs_after_sampling = hypergraph.num_pairs
     require_budget(pairs_after_sampling, budget, "index", "conflict pairs inside the kept set",
                    "pairs")
-    surviving = [pair for edges in classes.values() for pair in combinations(edges, 2)]
 
     deleted = 0
-    while surviving:
-        degree: Counter = Counter()
-        for a, b in surviving:
-            for v in set(a) | set(b):
-                degree[v] += 1
-        victim = max(degree.items(), key=lambda item: (item[1], -item[0]))[0]
+    while hypergraph.classes:
+        degrees = hypergraph.pair_degrees()
+        victim = degrees.index(max(degrees))
         kept.discard(victim)
         deleted += 1
-        surviving = [(a, b) for a, b in surviving if victim not in a and victim not in b]
+        hypergraph = hypergraph.without(victim)
 
     subset = tuple(sorted(kept))
     verified = verify_rainbow(colouring, subset, budget=budget)

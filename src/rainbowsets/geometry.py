@@ -22,7 +22,6 @@ from .errors import (
     require_budget,
 )
 from .hypergraph import DEFAULT_BUDGET, Colouring, ColouringSpec
-from .keys import canonical_key
 
 Point = tuple[Fraction, ...]
 
@@ -85,15 +84,6 @@ def _cayley_menger(dist, idxs) -> Fraction:
     return det_exact(rows)
 
 
-def _distance_det(dist, idxs) -> Fraction:
-    """Determinant of the chosen points' squared-distance matrix.
-
-    On d+2 points in dimension d it is -(-2)^d times the square of the lifted
-    determinant with rows (|x|^2, x, 1): zero iff they share a sphere or hyperplane.
-    """
-    return det_exact([[dist[i][j] for j in idxs] for i in idxs])
-
-
 def _volume(dist, idxs) -> Fraction:
     d = len(idxs) - 1
     coefficient = Fraction((-1) ** (d + 1), (2 ** d) * math.factorial(d) ** 2)
@@ -104,7 +94,7 @@ def _circumradius(dist, idxs) -> Fraction:
     bordered = _cayley_menger(dist, idxs)
     if bordered == 0:
         raise DegenerateInputError("points are affinely dependent; no circumsphere")
-    return -_distance_det(dist, idxs) / (2 * bordered)
+    return -det_exact([[dist[i][j] for j in idxs] for i in idxs]) / (2 * bordered)
 
 
 def _similarity_profile(dist, idxs) -> tuple[Fraction, ...]:
@@ -139,22 +129,6 @@ def squared_circumradius(points) -> Fraction:
     """
     dist = _simplex_distances(points)
     return _circumradius(dist, range(len(dist)))
-
-
-def similarity_canonical_form(points) -> bytes:
-    """Canonical key of the simplex's similarity class, reflections identified.
-
-    The squared-distance matrix is normalized by the sum of its entries
-    (killing scale) and the lexicographically smallest flattened upper
-    triangle over all vertex permutations is serialized.  Squared-distance
-    matrices determine point tuples up to isometry, so two tuples share a key
-    iff they are similar.
-    """
-    dist = _simplex_distances(points)
-    idxs = range(len(dist))
-    if _cayley_menger(dist, idxs) == 0:
-        raise DegenerateInputError("points are affinely dependent; no similarity type")
-    return canonical_key(_similarity_profile(dist, idxs))
 
 
 @dataclass(frozen=True)
@@ -266,44 +240,45 @@ def _integer_points(inst: PointInstance) -> list[tuple[int, ...]]:
     return [tuple(c.numerator * (scale // c.denominator) for c in p) for p in inst.points]
 
 
-def _first_violation(inst: PointInstance, size: int, what: str, exists, vanishes, budget: int):
-    """First size-subset on which ``vanishes`` (a determinant of the distances) is zero.
+def _first_violation(inst: PointInstance, size: int, what: str, exists, budget: int):
+    """First size-subset, in lexicographic order, on which ``exists`` finds a violation.
 
-    ``exists`` decides from each anchor point whether any such subset starts
-    there; the ordered determinant scan runs only when one does.
+    ``exists(ws, d)`` holds iff an anchor point and some size-1 of the points
+    given as differences ws from it violate general position.  The first
+    anchor for which it holds over the later points heads the first witness,
+    so only the subsets it heads are tested one by one; a valid instance
+    tests none.
     """
     n = len(inst)
     if n < size:
         return None
     require_budget(math.comb(n, size), budget, "verify", what, "subsets")
     pts = _integer_points(inst)
-    if not any(exists(_differences(pts[j + 1:], c), inst.dim) for j, c in enumerate(pts)):
+    anchor = next((j for j, c in enumerate(pts)
+                   if exists(_differences(pts[j + 1:], c), inst.dim)), None)
+    if anchor is None:
         return None
-    dist = _distance_matrix(inst.points)
-    return next((idxs for idxs in combinations(range(n), size)
-                 if vanishes(dist, idxs) == 0), None)
+    return next(((anchor,) + rest for rest in combinations(range(anchor + 1, n), size - 1)
+                 if exists(_differences([pts[i] for i in rest], pts[anchor]), inst.dim)), None)
 
 
 def find_hyperplane_violation(inst: PointInstance, budget: int = DEFAULT_BUDGET):
-    """First (d+1)-subset with zero volume, as index tuple; None if there is none.
+    """First (d+1)-subset on a hyperplane, as index tuple; None if there is none.
 
-    Whether one exists is decided by hashing directions (``_dependent``); the
-    ordered Cayley-Menger scan that names the first runs only when one does.
+    Decided in integers by hashing directions (``_dependent``): d+1 points lie
+    on a hyperplane iff their differences from the first are linearly dependent.
     """
-    return _first_violation(inst, inst.dim + 1, "hyperplane check", _dependent,
-                            _cayley_menger, budget)
+    return _first_violation(inst, inst.dim + 1, "hyperplane check", _dependent, budget)
 
 
 def find_sphere_violation(inst: PointInstance, budget: int = DEFAULT_BUDGET):
     """First (d+2)-subset on a common (d-1)-sphere or hyperplane, as index tuple.
 
     None if there is none; a witness may be cospherical or cohyperplanar.
-    Whether one exists is decided by inversion about each point and hashing
-    directions (``_cospherical``); the ordered scan for a zero squared-distance
-    determinant that names the first runs only when one does.
+    Decided in integers by inversion about the first point and hashing
+    directions (``_cospherical``).
     """
-    return _first_violation(inst, inst.dim + 2, "sphere check", _cospherical,
-                            _distance_det, budget)
+    return _first_violation(inst, inst.dim + 2, "sphere check", _cospherical, budget)
 
 
 def generate_general_position(n: int, dim: int, seed: int, coord_bound: int | None = None,

@@ -124,12 +124,14 @@ class ConflictHypergraph:
                 deg[v] += math.comb(m, 2) - math.comb(m - d, 2)
         return deg
 
+    def without(self, vertex: int) -> "ConflictHypergraph":
+        """The conflict hypergraph of the ground set minus ``vertex``.
 
-def enumerate_ksubsets(ground: GroundSet, k: int) -> Iterator[tuple[int, ...]]:
-    """All k-subsets of the ground set as sorted tuples, in lexicographic order."""
-    if not 1 <= k <= ground.n:
-        raise ParameterError(f"k={k} out of range for ground set of size {ground.n}")
-    return combinations(ground.vertices, k)
+        The vertex's edges go, and so does every class left with fewer than
+        two edges, as it holds no conflict pair.
+        """
+        classes = (tuple(e for e in edges if vertex not in e) for edges in self.classes)
+        return ConflictHypergraph(self.ground, tuple(edges for edges in classes if len(edges) > 1))
 
 
 def _edges_within_budget(colouring: Colouring, ground: GroundSet, vertices, budget: int,

@@ -198,6 +198,39 @@ def test_sample_matches_full_enumeration_reference(colour_seed, k, n, palette, p
     assert result.verified
 
 
+@pytest.mark.parametrize("colouring, n, seed", [
+    (sidon_instance(40)[0], 40, 1),
+    (sidon_instance(40)[0], 40, 2),
+    (sidon_instance(40)[0], 40, 3),
+    (constant_colouring(k=3), 10, 0),
+], ids=["sidon40-1", "sidon40-2", "sidon40-3", "constant-k3-10"])
+def test_sample_dense_deletion_matches_reference(colouring, n, seed):
+    # nothing is sampled away, so deletion runs for many rounds through many ties
+    k = colouring.spec.k
+    plan = SamplePlan(n=n, k=k, h=1, p=1.0, seed=seed)
+    result = sample_and_delete(colouring, GroundSet(n), plan)
+    subset, stats = reference_sample_and_delete(colouring, n, plan)
+    assert result.subset == subset
+    assert result.stats == stats
+    assert result.stats["vertices_deleted_by_hand"] >= n - 10
+    assert result.verified
+
+
+def test_sample_dense_regression_seed1():
+    # pinned output on values 1..100 with every vertex kept: 90 deletion rounds
+    c, g = sidon_instance(100)
+    result = sample_and_delete(c, g, SamplePlan.from_spec(100, 2, 1, seed=1, p=1.0))
+    assert result.subset == (1, 10, 12, 24, 48, 65, 80, 93, 98, 99)
+    assert result.stats == {
+        "pairs_total": 161700,
+        "pairs_after_sampling": 161700,
+        "pairs_destroyed_by_sampling": 0,
+        "vertices_kept_after_sampling": 100,
+        "vertices_deleted_by_hand": 90,
+    }
+    assert result.verified
+
+
 def test_sample_budget_refused_before_any_colour():
     calls = []
 

@@ -24,7 +24,6 @@ from rainbowsets.geometry import (
     generate_general_position,
     points_from_obj,
     points_to_obj,
-    similarity_canonical_form,
     similarity_colouring,
     squared_circumradius,
     squared_distance,
@@ -157,6 +156,28 @@ def test_sphere_check_matches_lifted_determinant(points):
     assert find_sphere_violation(inst) == expected
 
 
+def _with_collinear(n, seed):
+    """n points in general position plus one on the line through the last two."""
+    pts = [tuple(p) for p in generate_general_position(n, 2, seed).points]
+    return pts + [tuple(2 * b - a for a, b in zip(pts[-2], pts[-1]))]
+
+
+def _with_coplanar(n, seed):
+    """n points in general position in R^3 plus one on the plane through the last three."""
+    pts = [tuple(p) for p in generate_general_position(n, 3, seed).points]
+    return pts + [tuple(b + c - a for a, b, c in zip(*pts[-3:]))]
+
+
+def _with_cospherical(n, seed):
+    """n points in general position in R^3 plus the antipode of the last on the sphere
+    through the last four."""
+    pts = [tuple(p) for p in generate_general_position(n, 3, seed).points]
+    first, *rest = pts[-4:]
+    centre = gauss_jordan_solve([[2 * (x - y) for x, y in zip(p, first)] for p in rest],
+                                [sum(x * x for x in p) - sum(y * y for y in first) for p in rest])
+    return pts + [tuple(2 * c - x for c, x in zip(centre, pts[-1]))]
+
+
 @settings(max_examples=300, deadline=None)
 @given(points=point_lists(0, 3, st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))))
 @example(points=[(1, 1), (0, 0), (2, 2)])  # collinear, the first point between the others
@@ -164,6 +185,10 @@ def test_sphere_check_matches_lifted_determinant(points):
 @example(points=[(3, 3), (0, 0), (1, 2), (5, 0), (4, -2)])  # a circle through the anchor (0, 0)
 @example(points=[(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 1, 0), (0, 0, 1)])  # four coplanar
 @example(points=[(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0)])  # coplanar, three collinear
+# planted witnesses last in lexicographic order, later than any draw reaches
+@example(points=_with_collinear(30, 11))  # hyperplane witness (28, 29, 30)
+@example(points=_with_coplanar(9, 0))  # hyperplane witness (6, 7, 8, 9)
+@example(points=_with_cospherical(9, 0))  # sphere witness (5, 6, 7, 8, 9)
 def test_violations_match_determinant_oracle(points):
     inst = PointInstance(dim=len(points[0]), points=tuple(as_point(p) for p in points))
     found = find_hyperplane_violation(inst), find_sphere_violation(inst)
@@ -173,35 +198,42 @@ def test_violations_match_determinant_oracle(points):
 # --------------------------------------------------------- similarity
 
 
+def similarity_key(points) -> bytes:
+    """Key of the triangle's similarity class, read from the similarity colouring."""
+    inst = PointInstance(dim=2, points=tuple(as_point(p) for p in points))
+    return similarity_colouring(inst.validate(sphere=False)).colour_key((0, 1, 2))
+
+
 def test_similarity_permutation_invariance():
     pts = [(0, 0), (3, 0), (0, 4)]
-    assert similarity_canonical_form(pts) == similarity_canonical_form(
-        [pts[2], pts[0], pts[1]]
-    )
+    assert similarity_key(pts) == similarity_key([pts[2], pts[0], pts[1]])
 
 
 def test_similarity_scale_translate_reflect():
     rng = random.Random(5)
     for _ in range(20):
         pts = rational_triangle(rng)
-        base = similarity_canonical_form(pts)
+        base = similarity_key(pts)
         scale = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         shift = (Fraction(rng.randint(-20, 20), 3), Fraction(rng.randint(-20, 20), 3))
         transformed = [(x * scale + shift[0], y * scale + shift[1]) for x, y in pts]
-        assert similarity_canonical_form(transformed) == base
+        assert similarity_key(transformed) == base
         mirrored = [(-x, y) for x, y in pts]
-        assert similarity_canonical_form(mirrored) == base
+        assert similarity_key(mirrored) == base
 
 
 def test_similarity_distinguishes_shapes():
-    a = similarity_canonical_form([(0, 0), (3, 0), (0, 4)])
-    b = similarity_canonical_form([(0, 0), (1, 0), (0, 1)])
+    a = similarity_key([(0, 0), (3, 0), (0, 4)])
+    b = similarity_key([(0, 0), (1, 0), (0, 1)])
     assert a != b
 
 
 def test_similarity_degenerate_rejected():
+    # the flag is set without the check, so the evaluator meets the collinear triple
+    collinear = PointInstance(dim=2, points=tuple(as_point(p) for p in [(0, 0), (1, 1), (3, 3)]),
+                              no_hyperplane=True)
     with pytest.raises(DegenerateInputError):
-        similarity_canonical_form([(0, 0), (1, 1), (3, 3)])
+        similarity_colouring(collinear).colour_key((0, 1, 2))
 
 
 # --------------------------------------------------------- validators

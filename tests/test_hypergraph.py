@@ -23,28 +23,10 @@ from rainbowsets.hypergraph import (
     GroundSet,
     build_conflict_hypergraph,
     colour_classes,
-    enumerate_ksubsets,
     max_monochromatic_sunflower,
     validate_lambda,
 )
 from rainbowsets.keys import canonical_key
-
-
-def test_enumerate_counts_and_order():
-    subsets = list(enumerate_ksubsets(GroundSet(4), 2))
-    assert len(subsets) == 6
-    assert subsets[0] == (0, 1)
-    assert subsets[-1] == (2, 3)
-    assert subsets == sorted(subsets)
-
-    assert list(enumerate_ksubsets(GroundSet(5), 5)) == [(0, 1, 2, 3, 4)]
-    assert len(list(enumerate_ksubsets(GroundSet(5), 3))) == 10
-
-
-@pytest.mark.parametrize("k", [0, 6, -1])
-def test_enumerate_rejects_bad_k(k):
-    with pytest.raises(ParameterError):
-        enumerate_ksubsets(GroundSet(5), k)
 
 
 def test_ground_set_needs_vertices():
