@@ -283,12 +283,13 @@ def exact_max_rainbow(colouring: Colouring, ground: GroundSet, limit: int | None
     """Maximum-cardinality rainbow subset by branch and bound.
 
     Vertices are ordered by conflict-pair degree (descending, ids break
-    ties) and the search runs on their positions in that order, so an edge
-    closing at position i is ``rest + (i,)`` with ``rest`` already sorted.
-    The natural-order greedy result seeds the bound, and branches that
-    cannot strictly beat the incumbent are pruned.  Each k-edge's colour is
-    read as one bit, that of its colour class, so the search colours nothing
-    and holds the classes in use as an int mask.  Deterministic.
+    ties) and the search runs on their positions in that order.  The row
+    ``closing[i]`` maps the earlier positions of each k-edge ending at
+    position i (the one earlier position for k = 2, a sorted tuple
+    otherwise) to one bit, that of the edge's colour class, so the search
+    colours nothing and holds the classes in use as an int mask.  The
+    natural-order greedy result seeds the bound, and branches that cannot
+    strictly beat the incumbent are pruned.  Deterministic.
     """
     n, k = ground.n, colouring.spec.k
     if k > n:
@@ -300,8 +301,11 @@ def exact_max_rainbow(colouring: Colouring, ground: GroundSet, limit: int | None
     degrees = hypergraph.pair_degrees()
     order = sorted(range(n), key=lambda v: (-degrees[v], v))
     position = {v: i for i, v in enumerate(order)}
-    class_bit = {tuple(sorted(map(position.__getitem__, e))): 1 << index
-                 for index, edges in enumerate(hypergraph.classes) for e in edges}
+    closing: list[dict] = [{} for _ in range(n)]
+    for index, edges in enumerate(hypergraph.classes):
+        for e in edges:
+            *rest, last = sorted(map(position.__getitem__, e))
+            closing[last][rest[0] if k == 2 else tuple(rest)] = 1 << index
 
     best = list(greedy_rainbow(colouring, ground, budget=budget).subset)
     nodes = 0
@@ -314,10 +318,10 @@ def exact_max_rainbow(colouring: Colouring, ground: GroundSet, limit: int | None
         if i == n:
             best = [order[j] for j in chosen]
             return
-        closing = (i,)
+        row = closing[i]
         mask = used
-        for rest in combinations(chosen, k - 1):
-            bit = class_bit[rest + closing]
+        for rest in chosen if k == 2 else combinations(chosen, k - 1):
+            bit = row[rest]
             if mask & bit:
                 break
             mask |= bit

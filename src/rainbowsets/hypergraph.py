@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, compress, repeat, tee
+from operator import is_
 from typing import Callable, Iterator
 
 from .errors import ParameterError, require_budget
@@ -165,10 +166,26 @@ def colour_classes(
 def colour_class_sizes(
     colouring: Colouring, ground: GroundSet, budget: int = DEFAULT_BUDGET
 ) -> Counter:
-    """Size of every colour class of the ground set, counted without storing an edge."""
-    edges = _edges_within_budget(colouring, ground, ground.vertices, budget,
-                                 "colour_class_sizes")
-    return Counter(map(canonical_key, map(colouring.evaluator, edges)))
+    """Size of every colour class of the ground set, keyed by colour key; no edge is stored.
+
+    Integer colours are counted by value: if the first colour is an exact
+    ``int``, the exact ``int`` colours are counted at C speed, and when they
+    are all C(N, k) colours, each distinct value is keyed once.  Otherwise
+    every colour is evaluated (again) and keyed, so a float or a bool raises
+    wherever it appears.
+    """
+    vertices, k = ground.vertices, colouring.spec.k
+    edges = _edges_within_budget(colouring, ground, vertices, budget, "colour_class_sizes")
+    values = map(colouring.evaluator, edges)
+    first = next(values)
+    values = chain((first,), values)
+    if type(first) is int:
+        data, kinds = tee(values)
+        counts = Counter(compress(data, map(is_, map(type, kinds), repeat(int))))
+        if counts.total() == math.comb(len(vertices), k):
+            return Counter({canonical_key(value): size for value, size in counts.items()})
+        values = map(colouring.evaluator, combinations(vertices, k))
+    return Counter(map(canonical_key, values))
 
 
 def max_monochromatic_sunflower(

@@ -8,6 +8,7 @@ never checked against itself.
 import random
 from collections import Counter, defaultdict
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 
 from rainbowsets.engine import _splitmix64
@@ -52,6 +53,14 @@ def brute_force_max_petals(colouring: Colouring, n: int, h: int) -> int:
         if counts:
             best = max(best, max(counts.values()))
     return best
+
+
+def keyed_class_sizes(colouring: Colouring, n: int) -> Counter:
+    """Size of every colour class of range(n), keying every colour value one at a time."""
+    sizes: Counter = Counter()
+    for e in combinations(range(n), colouring.spec.k):
+        sizes[canonical_key(colouring.evaluator(e))] += 1
+    return sizes
 
 
 def brute_force_pair_degrees(colouring: Colouring, n: int) -> tuple[list[int], int]:
@@ -148,17 +157,33 @@ def gauss_jordan_solve(matrix, rhs):
     return [row[size] for row in rows]
 
 
+@cache
+def _signed_permutations(size):
+    """Every permutation of range(size) with its sign, computed once per size."""
+    return tuple((perm, -1 if sum(perm[i] > perm[j] for i, j in combinations(range(size), 2)) % 2
+                  else 1) for perm in permutations(range(size)))
+
+
 def leibniz_det(matrix):
-    """Determinant as the signed sum over permutations; exact, for small matrices."""
-    size = len(matrix)
-    total = Fraction(0)
-    for perm in permutations(range(size)):
-        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(size), 2))
-        term = Fraction(-1 if inversions % 2 else 1)
+    """Determinant as the signed sum over permutations; exact, for small matrices.
+
+    Integer entries give an ``int``, rational ones a ``Fraction``.
+    """
+    total = 0
+    for perm, sign in _signed_permutations(len(matrix)):
+        term = sign
         for row, col in enumerate(perm):
             term *= matrix[row][col]
         total += term
     return total
+
+
+def _lifted_rows(points):
+    """The row (|x|^2, x, 1) of each point, in plain ints when every coordinate is integral."""
+    coords = [[Fraction(c) for c in p] for p in points]
+    if all(c.denominator == 1 for p in coords for c in p):
+        coords = [[c.numerator for c in p] for p in coords]
+    return [[sum(c * c for c in p), *p, 1] for p in coords]
 
 
 def lifted_determinant(points):
@@ -166,8 +191,7 @@ def lifted_determinant(points):
 
     Zero iff the points lie on a common sphere or hyperplane.
     """
-    return leibniz_det([[sum(Fraction(c) ** 2 for c in p), *map(Fraction, p), Fraction(1)]
-                        for p in points])
+    return leibniz_det(_lifted_rows(points))
 
 
 def general_position_witnesses(points):
@@ -176,11 +200,13 @@ def general_position_witnesses(points):
     Walks every subset in lexicographic order: d+1 points lie on a hyperplane
     iff the rows (x, 1) are singular, d+2 on a sphere or hyperplane iff the
     lifted determinant is zero.  Each witness is an index tuple or None.
+    Every point is lifted once.
     """
     d = len(points[0])
+    lifted = _lifted_rows(points)
+    flat = [row[1:] for row in lifted]
     hyperplane = next((idxs for idxs in combinations(range(len(points)), d + 1)
-                       if leibniz_det([[*map(Fraction, points[i]), Fraction(1)]
-                                       for i in idxs]) == 0), None)
+                       if leibniz_det([flat[i] for i in idxs]) == 0), None)
     sphere = next((idxs for idxs in combinations(range(len(points)), d + 2)
-                   if lifted_determinant([points[i] for i in idxs]) == 0), None)
+                   if leibniz_det([lifted[i] for i in idxs]) == 0), None)
     return hyperplane, sphere

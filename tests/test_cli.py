@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -152,6 +153,8 @@ def test_find_sample_delete_sidon_1000(tmp_path):
     assert result["verified"] is True
     assert result["stats"]["pairs_total"] == 166167000
     assert is_b2_sequence([int(v) for v in result["subset"]])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "ec7fde40b1516d746ca7a4316da15b459a960302c06c84e0fb1771d46859c33e")
 
 
 def test_find_poly_needs_poly_file(tmp_path):

@@ -256,12 +256,13 @@ def test_sample_float_colours_raise_type_error():
         sample_and_delete(c, GroundSet(6), plan)
 
 
-@pytest.mark.parametrize("odd", [1.0, True])
+@pytest.mark.parametrize("odd", [1.0, True, (1, (2.0,))])
 def test_every_colour_value_is_keyed(odd):
     # 1 == 1.0 == True, so grouping by raw value would put the last edge in
     # the class of 1 and let the float or bool through; keying every value
-    # refuses it wherever it appears.  The plan keeps no vertex, so only the
-    # counting pass over the whole ground set sees the last edge.
+    # refuses it, or a float nested in a tuple, wherever it appears.  The
+    # plan keeps no vertex, so only the counting pass over the whole ground
+    # set sees the last edge.
     c = Colouring(ColouringSpec(2, 1, 1), lambda e: odd if e == (4, 5) else 1, "mixed")
     plan = SamplePlan(n=6, k=2, h=1, p=1e-9, seed=0)
     with pytest.raises(TypeError):

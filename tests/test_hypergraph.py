@@ -12,6 +12,7 @@ from helpers import (
     brute_force_pair_degrees,
     constant_colouring,
     injective_colouring,
+    keyed_class_sizes,
     random_colouring,
 )
 from rainbowsets.algebra import IntegerInstance, sidon_colouring
@@ -22,6 +23,7 @@ from rainbowsets.hypergraph import (
     ColouringSpec,
     GroundSet,
     build_conflict_hypergraph,
+    colour_class_sizes,
     colour_classes,
     max_monochromatic_sunflower,
     validate_lambda,
@@ -135,6 +137,45 @@ def test_canonical_key_rejects_booleans():
     for value in (True, False, (1, True), ((False,),)):
         with pytest.raises(TypeError):
             canonical_key(value)
+
+
+# one odd colour among small ints: any exact value, or one that must raise
+ODD_COLOURS = (COLOUR_VALUES | st.floats() | st.booleans()
+               | st.tuples(st.integers(-3, 3), st.floats()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32), k=st.integers(1, 3), n=st.integers(3, 7),
+       palette=st.integers(1, 6), odd=ODD_COLOURS, at=st.integers(0, 34))
+@example(seed=0, k=2, n=5, palette=4, odd=Fraction(3), at=9)
+@example(seed=0, k=2, n=5, palette=4, odd="3", at=0)
+@example(seed=0, k=2, n=5, palette=4, odd=2**70, at=3)
+def test_class_sizes_match_keyed_count(seed, k, n, palette, odd, at):
+    # integer colours are counted by value; the odd value at any edge, the
+    # first included, must still be keyed (or refused) like every other
+    edges = list(combinations(range(n), k))
+    odd_edge = edges[at % len(edges)]
+    base = random_colouring(seed, k, 0, palette)
+    c = Colouring(base.spec, lambda e: odd if e == odd_edge else base.evaluator(e), "odd")
+    try:
+        expected = keyed_class_sizes(c, n)
+    except TypeError:
+        with pytest.raises(TypeError):
+            colour_class_sizes(c, GroundSet(n))
+    else:
+        assert colour_class_sizes(c, GroundSet(n)) == expected
+
+
+@pytest.mark.parametrize("odd_edge", [(0, 1), (2, 4), (3, 4)])
+def test_class_sizes_merge_equal_numbers_only(odd_edge):
+    def colouring(odd):
+        return Colouring(ColouringSpec(2, 1, 1), lambda e: odd if e == odd_edge else 3, "threes")
+
+    assert colour_class_sizes(colouring(Fraction(3)), GroundSet(5)) == {b"3": 10}
+    assert colour_class_sizes(colouring("3"), GroundSet(5)) == {b"3": 9, b"s1:3": 1}
+    for odd in (3.0, True, (3, (3.0,))):
+        with pytest.raises(TypeError):
+            colour_class_sizes(colouring(odd), GroundSet(5))
 
 
 def test_evaluator_purity_and_symmetry():
