@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import ParameterError, ValidationError
+from .errors import ParameterError, ValidationError, require_exact
 from .hypergraph import Colouring, ColouringSpec
 
 RATIONALS = "Q"
@@ -50,6 +50,10 @@ class SymPoly:
     ``field`` is "Q" for the rationals or a prime modulus.  Coefficients are
     normalized (reduced mod p, zeros dropped) and must satisfy c[i][j] ==
     c[j][i]; the total degree must be exactly ``degree``.
+
+    Writing p(x, y) = sum_i q_i(y) x^i, ``pivot_power`` is the smallest
+    i >= 1 with q_i not formally zero.  It always exists: a monomial x^i y^j
+    with i + j >= 1 has i >= 1 or, by symmetry, a mirror x^j y^i with j >= 1.
     """
 
     def __init__(self, field, coeffs: dict):
@@ -63,7 +67,7 @@ class SymPoly:
             if i < 0 or j < 0:
                 raise ParameterError("monomial exponents must be nonnegative")
             value = self.element(c)
-            if value != self.zero():
+            if value != 0:
                 normalized[(int(i), int(j))] = value
         if not normalized:
             raise ParameterError("polynomial must be nonzero of degree at least 1")
@@ -74,9 +78,7 @@ class SymPoly:
         if self.degree < 1:
             raise ParameterError("polynomial degree must be at least 1")
         self.coeffs = dict(sorted(normalized.items()))
-
-    def zero(self):
-        return Fraction(0) if self.field == RATIONALS else 0
+        self.pivot_power = min(i for i, _ in self.coeffs if i >= 1)
 
     def element(self, value):
         """Coerce an exact scalar into the field (Fraction over Q, residue mod p).
@@ -130,16 +132,11 @@ class SymPoly:
 
         return evaluator
 
-    def x_coefficient_poly(self, power: int) -> dict[int, object]:
-        """The y-polynomial multiplying x**power, as a map j -> coefficient."""
-        return {j: c for (i, j), c in self.coeffs.items() if i == power}
-
-    def eval_y_poly(self, poly: dict[int, object], y):
+    def vanishes(self, y) -> bool:
+        """Whether q_pivot, the y-polynomial multiplying x**pivot_power, is zero at y."""
         y = self.element(y)
-        if self.field == RATIONALS:
-            return sum((c * y**j for j, c in poly.items()), Fraction(0))
-        p = self.field
-        return sum(c * pow(y, j, p) for j, c in poly.items()) % p
+        total = sum(c * y**j for (i, j), c in self.coeffs.items() if i == self.pivot_power)
+        return total == 0 if self.field == RATIONALS else total % self.field == 0
 
     @property
     def label(self) -> str:
@@ -151,41 +148,31 @@ class SymPoly:
 class PolyGround:
     """A ground set prepared for polynomial colouring.
 
-    ``kept`` are the usable values, ``removed`` the values where the pivot
-    coefficient polynomial vanished, ``pivot_power`` the smallest x-power
-    whose y-coefficient polynomial is not formally zero.
+    ``kept`` are the usable values and ``removed`` the values where the
+    polynomial's pivot coefficient polynomial q_pivot vanishes.
     """
 
     poly: SymPoly
     kept: tuple
     removed: tuple
-    pivot_power: int
 
 
 def poly_prepare(poly: SymPoly, values) -> PolyGround:
-    """Drop the values where the lowest informative coefficient polynomial vanishes.
+    """Drop the values where the pivot coefficient polynomial vanishes.
 
-    Writing p(x, y) = sum_i q_i(y) x^i, the smallest power j >= 1 with q_j
-    not formally zero always exists (symmetry would otherwise force p
-    constant).  The removed set is the zero set of q_j inside the input, so
-    it has at most deg(q_j) <= degree - 1 elements; for every kept value y0,
-    p(x, y0) is a nonconstant polynomial in x of degree at most the total
-    degree, which is what bounds the petals of the colouring.
+    The removed set is the zero set of q_pivot (see ``SymPoly``) inside the
+    input, so it has at most deg(q_pivot) <= degree - 1 elements; for every
+    kept value y0, p(x, y0) is a nonconstant polynomial in x of degree at
+    most the total degree, which is what bounds the petals of the colouring.
+    q_pivot is evaluated once per value.
     """
     elements = [poly.element(v) for v in values]
     if len(set(elements)) != len(elements):
         raise ParameterError("ground values must be distinct in the field")
-    pivot = None
-    for power in range(1, poly.degree + 1):
-        if poly.x_coefficient_poly(power):
-            pivot = power
-            break
-    if pivot is None:
-        raise RuntimeError("internal invariant violated: no informative x-power found")
-    q = poly.x_coefficient_poly(pivot)
-    removed = tuple(v for v in elements if poly.eval_y_poly(q, v) == poly.zero())
-    kept = tuple(v for v in elements if poly.eval_y_poly(q, v) != poly.zero())
-    return PolyGround(poly=poly, kept=kept, removed=removed, pivot_power=pivot)
+    kept, removed = [], []
+    for v in elements:
+        (removed if poly.vanishes(v) else kept).append(v)
+    return PolyGround(poly=poly, kept=tuple(kept), removed=tuple(removed))
 
 
 def poly_colouring(prepared: PolyGround) -> Colouring:
@@ -196,11 +183,8 @@ def poly_colouring(prepared: PolyGround) -> Colouring:
     still zeroes the pivot coefficient polynomial).
     """
     poly = prepared.poly
-    q = poly.x_coefficient_poly(prepared.pivot_power)
-    if not q:
-        raise ValidationError("prepared ground does not match its polynomial")
     for v in prepared.kept:
-        if poly.eval_y_poly(q, v) == poly.zero():
+        if poly.vanishes(v):
             raise ValidationError(f"value {v} was not prepared out (pivot polynomial vanishes)")
     spec = ColouringSpec(k=2, h=1, max_petals=poly.degree)
     return Colouring(spec=spec, evaluator=poly.pair_evaluator(prepared.kept), label=poly.label)
@@ -258,7 +242,7 @@ def integers_to_obj(inst: IntegerInstance) -> dict:
 def integers_from_obj(obj: dict) -> IntegerInstance:
     if obj.get("type") != "integers":
         raise ParameterError(f"expected an integers instance, got type={obj.get('type')!r}")
-    return IntegerInstance(values=tuple(int(v) for v in obj["values"]))
+    return IntegerInstance(values=tuple(int(require_exact(v)) for v in obj["values"]))
 
 
 def sympoly_to_obj(poly: SymPoly) -> dict:
@@ -272,11 +256,11 @@ def sympoly_from_obj(obj: dict) -> SymPoly:
         raise ParameterError(f"expected a sympoly, got type={obj.get('type')!r}")
     field = obj["field"]
     if field != "Q":
-        field = int(field["GF"])
+        field = int(require_exact(field["GF"]))
     coeffs: dict[tuple[int, int], object] = {}
     for i, j, c in obj["coeffs"]:
-        value = Fraction(c) if field == "Q" else int(c)
-        key = (int(i), int(j))
+        value = (Fraction if field == "Q" else int)(require_exact(c))
+        key = (int(require_exact(i)), int(require_exact(j)))
         if key in coeffs and coeffs[key] != value:
             raise ParameterError(f"conflicting coefficients for monomial {key}")
         coeffs[key] = value
@@ -284,7 +268,7 @@ def sympoly_from_obj(obj: dict) -> SymPoly:
         if mirror not in coeffs:
             coeffs[mirror] = value
     poly = SymPoly(field, coeffs)
-    declared = int(obj["degree"])
+    declared = int(require_exact(obj["degree"]))
     if poly.degree != declared:
         raise ParameterError(f"declared degree {declared} but coefficients give {poly.degree}")
     return poly

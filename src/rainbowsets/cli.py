@@ -36,12 +36,12 @@ def _write_manifest(out: str, payload: dict) -> None:
 
 
 def _read_file(path: str, parse):
-    """``parse`` of the JSON in ``path``; a malformed body is a ParameterError naming it."""
+    """``parse`` of the JSON in ``path``; a bad or malformed body is a ParameterError naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse(json.load(fh))
-    except ParameterError:
-        raise
+    except ParameterError as exc:
+        raise ParameterError(f"{path}: {exc}") from exc
     except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
         raise ParameterError(f"malformed {path}: {type(exc).__name__}: {exc}") from exc
 
@@ -53,7 +53,7 @@ def _load_instance(path: str):
             return geometry.points_from_obj(obj)
         if kind == "integers":
             return algebra.integers_from_obj(obj)
-        raise ParameterError(f"unknown instance type {kind!r} in {path}")
+        raise ParameterError(f"unknown instance type {kind!r}")
 
     return _read_file(path, parse)
 
@@ -124,7 +124,7 @@ def _cmd_generate(args) -> int:
         inst = algebra.IntegerInstance(values=tuple(range(1, args.n + 1)))
         obj = algebra.integers_to_obj(inst)
         params = {"n": args.n}
-    elif args.kind == "integers-random":
+    else:
         import random
 
         max_value = args.max_value if args.max_value is not None else 100 * args.n
@@ -135,8 +135,6 @@ def _cmd_generate(args) -> int:
         inst = algebra.IntegerInstance(values=values)
         obj = algebra.integers_to_obj(inst)
         params = {"n": args.n, "max_value": max_value, "seed": args.seed}
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParameterError(f"unknown kind {args.kind!r}")
     _write(args.out, _dump_json(obj))
     _write_manifest(args.out, {"command": "generate", "kind": args.kind,
                                "params": params, "out": args.out})

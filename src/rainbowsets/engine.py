@@ -55,32 +55,32 @@ def derive_seed(master_seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Parameters of one sparsification run.
+    """One sparsification run: keep each vertex with probability p, drawn from seed.
 
-    The default keep-probability is shrink * n^(-(k+h-1)/(2k-1)), the point
-    where surviving conflicts become rare enough to delete by hand, nudged
-    down by the shrink factor.  Fully determined by (n, k, h, seed, shrink).
+    A plan describes no instance, so any p in (0, 1] suits any ground set.
     """
 
-    n: int
-    k: int
-    h: int
     p: float
     seed: int
-    shrink: float = 0.5
 
     def __post_init__(self):
-        if not 0 < self.shrink <= 1:
-            raise ParameterError(f"shrink must be in (0, 1], got {self.shrink}")
         if not 0 < self.p <= 1:
             raise ParameterError(f"sampling probability must be in (0, 1], got {self.p}")
 
     @classmethod
     def from_spec(cls, n: int, k: int, h: int, seed: int, shrink: float = 0.5,
                   p: float | None = None) -> "SamplePlan":
+        """The plan for n vertices and a (k, h) colouring, unless p is given.
+
+        The default keep-probability is shrink * n^(-(k+h-1)/(2k-1)), the
+        point where surviving conflicts become rare enough to delete by hand,
+        nudged down by the shrink factor.
+        """
+        if not 0 < shrink <= 1:
+            raise ParameterError(f"shrink must be in (0, 1], got {shrink}")
         if p is None:
             p = min(1.0, shrink * n ** (-(k + h - 1) / (2 * k - 1)))
-        return cls(n=n, k=k, h=h, p=p, seed=seed, shrink=shrink)
+        return cls(p=p, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -237,12 +237,6 @@ def sample_and_delete(colouring: Colouring, ground: GroundSet, plan: SamplePlan,
     ``pairs_total``, after C(N, k) colour evaluations are checked against the
     budget.
     """
-    spec = colouring.spec
-    if (plan.n, plan.k, plan.h) != (ground.n, spec.k, spec.h):
-        raise ParameterError(
-            f"plan is for (n={plan.n}, k={plan.k}, h={plan.h}); "
-            f"instance has (n={ground.n}, k={spec.k}, h={spec.h})"
-        )
     t0 = time.perf_counter()
     sizes = colour_class_sizes(colouring, ground, budget=budget)
     pairs_total = sum(math.comb(size, 2) for size in sizes.values())
@@ -365,7 +359,7 @@ def estimate_exponent(records: list[BenchRecord]) -> ExponentFit:
     intercept = y_bar - slope * x_bar
     residuals = [y - (intercept + slope * x) for x, y in zip(xs, ys)]
     dof = len(xs) - 2
-    stderr = math.sqrt(max(sum(r * r for r in residuals), 0.0) / dof / sxx) if dof > 0 else 0.0
+    stderr = math.sqrt(sum(r * r for r in residuals) / dof / sxx)
     return ExponentFit(slope=slope, stderr=stderr, intercept=intercept, n_points=len(xs))
 
 

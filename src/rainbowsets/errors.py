@@ -23,6 +23,18 @@ def require_budget(needed: int, budget: int, layer: str, what: str, unit: str) -
         raise BudgetError(f"{layer} layer: {what} needs {needed} {unit}; budget is {budget}")
 
 
+def require_exact(value):
+    """``value`` itself, unless it is a float or a bool.
+
+    File readers pass every JSON number through here before ``int`` or
+    ``Fraction`` sees it, so no value read from a file is truncated, rounded
+    or read as a binary fraction.
+    """
+    if isinstance(value, (float, bool)):
+        raise ParameterError(f"{value!r} is not an exact number; write an int or a string")
+    return value
+
+
 class DegenerateInputError(ValueError):
     """Geometric input is degenerate (affinely dependent points)."""
 

@@ -20,6 +20,7 @@ from .errors import (
     ParameterError,
     ValidationError,
     require_budget,
+    require_exact,
 )
 from .hypergraph import DEFAULT_BUDGET, Colouring, ColouringSpec
 
@@ -281,14 +282,15 @@ def find_sphere_violation(inst: PointInstance, budget: int = DEFAULT_BUDGET):
     return _first_violation(inst, inst.dim + 2, "sphere check", _cospherical, budget)
 
 
-def generate_general_position(n: int, dim: int, seed: int, coord_bound: int | None = None,
-                              max_attempts: int | None = None) -> PointInstance:
+def generate_general_position(n: int, dim: int, seed: int,
+                              coord_bound: int | None = None) -> PointInstance:
     """Random integer points with no d+1 on a hyperplane and no d+2 on a sphere.
 
     Draws uniformly from [0, coord_bound]^dim, rejecting any candidate that
     breaks either condition against the accepted prefix; both flags are
     therefore True on return.  coord_bound defaults to 4n^2 for collision
-    head-room.  Deterministic for a given seed.
+    head-room.  At most DEFAULT_REJECTION_FACTOR * n draws are made before
+    ``BudgetError``.  Deterministic for a given seed.
     """
     if n < 1:
         raise ParameterError("need at least one point")
@@ -298,8 +300,7 @@ def generate_general_position(n: int, dim: int, seed: int, coord_bound: int | No
         coord_bound = max(4 * n * n, 4)
     if coord_bound < 1:
         raise ParameterError("coordinate bound must be at least 1")
-    if max_attempts is None:
-        max_attempts = DEFAULT_REJECTION_FACTOR * n
+    max_attempts = DEFAULT_REJECTION_FACTOR * n
     rng = random.Random(seed)
     accepted: list[tuple[int, ...]] = []
     attempts = 0
@@ -372,8 +373,9 @@ def points_from_obj(obj: dict) -> PointInstance:
     """Parse the JSON form; validation flags start False and must be re-earned."""
     if obj.get("type") != "points":
         raise ParameterError(f"expected a points instance, got type={obj.get('type')!r}")
-    dim = int(obj["d"])
+    dim = int(require_exact(obj["d"]))
     points = tuple(
-        tuple(Fraction(int(num), int(den)) for num, den in p) for p in obj["coords"]
+        tuple(Fraction(int(require_exact(num)), int(require_exact(den))) for num, den in p)
+        for p in obj["coords"]
     )
     return PointInstance(dim=dim, points=points)

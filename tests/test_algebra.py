@@ -83,23 +83,36 @@ def test_is_prime():
 
 def test_prepare_x_plus_y():
     prep = poly_prepare(SymPoly("Q", X_PLUS_Y), [1, 2, 3, 4])
-    assert prep.pivot_power == 1
+    assert prep.poly.pivot_power == 1
     assert prep.removed == ()
     assert prep.kept == (1, 2, 3, 4)
 
 
 def test_prepare_xy_drops_zero():
     prep = poly_prepare(SymPoly("Q", XY), [0, 1, 2])
-    assert prep.pivot_power == 1
+    assert prep.poly.pivot_power == 1
     assert prep.removed == (0,)
     assert prep.kept == (1, 2)
 
 
 def test_prepare_x2y_plus_xy2():
     prep = poly_prepare(SymPoly("Q", X2Y_PLUS_XY2), [-1, 0, 1, 2])
-    assert prep.pivot_power == 1  # q_1(y) = y^2
+    assert prep.poly.pivot_power == 1  # q_1(y) = y^2
     assert prep.removed == (0,)
     assert prep.kept == (-1, 1, 2)
+
+
+@pytest.mark.parametrize("field, sign, values, kept, removed", [
+    (5, 1, range(5), (0, 1, 4), (2, 3)),          # q_2(y) = y^2 + 1 = (y - 2)(y - 3) mod 5
+    ("Q", -1, range(-3, 4), (-3, -2, 0, 2, 3), (-1, 1)),   # q_2(y) = y^2 - 1
+], ids=["gf5", "Q"])
+def test_prepare_pivot_power_two(field, sign, values, kept, removed):
+    # x^2 y^2 + s x^2 + s y^2 has no x^1 term, so the pivot is x^2
+    poly = SymPoly(field, {(2, 2): 1, (2, 0): sign, (0, 2): sign})
+    prep = poly_prepare(poly, list(values))
+    assert poly.pivot_power == 2
+    assert prep.kept == kept
+    assert prep.removed == removed
 
 
 def test_prepare_zero_set_is_small():
@@ -156,7 +169,7 @@ def test_poly_colouring_symmetric_keys():
 
 def test_poly_colouring_rejects_unprepared():
     poly = SymPoly("Q", XY)
-    fake = PolyGround(poly=poly, kept=(Fraction(0), Fraction(1)), removed=(), pivot_power=1)
+    fake = PolyGround(poly=poly, kept=(Fraction(0), Fraction(1)), removed=())
     with pytest.raises(ValidationError):
         poly_colouring(fake)
 

@@ -368,6 +368,37 @@ def test_malformed_poly_is_parameter_error(tmp_path, capsys, body):
     assert err.startswith("parameter error: malformed") and str(poly) in err
 
 
+INTS_1_TO_10 = json.dumps(integers_to_obj(IntegerInstance(values=tuple(range(1, 11)))))
+
+
+@pytest.mark.parametrize("instance, poly, colouring", [
+    ('{"type": "integers", "values": [1, 2.9, 5]}', None, "sidon"),
+    ('{"type": "integers", "values": [true, 2, 5]}', None, "sidon"),
+    ('{"type": "points", "d": 2, "coords": [[[3.7, 1], ["1", "1"]], [["0", "1"], ["0", "1"]],'
+     ' [["5", "1"], ["2", "1"]]]}', None, "volume"),
+    (INTS_1_TO_10, '{"type": "sympoly", "field": {"GF": 7}, "degree": 1, "coeffs": [[1, 0, 2.9]]}',
+     "poly"),
+    (INTS_1_TO_10, '{"type": "sympoly", "field": "Q", "degree": 1, "coeffs": [[1, 0, 0.1]]}',
+     "poly"),
+], ids=["float-value", "bool-value", "float-coordinate", "float-gf7-coefficient",
+        "float-q-coefficient"])
+def test_json_floats_and_bools_are_refused(tmp_path, capsys, instance, poly, colouring):
+    # int() would truncate 2.9 and 3.7 and Fraction() would read 0.1 as a binary fraction
+    inst = tmp_path / "inst.json"
+    inst.write_text(instance)
+    argv = ["find", "--instance", str(inst), "--colouring", colouring]
+    named = inst
+    if poly is not None:
+        named = tmp_path / "poly.json"
+        named.write_text(poly)
+        argv += ["--poly", str(named)]
+    out = tmp_path / "r.json"
+    assert run(*argv, "--out", str(out)) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error:") and str(named) in err and "not an exact number" in err
+
+
 def test_module_entry_point_exit_codes(tmp_path):
     src = str(Path(rainbowsets.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

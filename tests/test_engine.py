@@ -158,13 +158,6 @@ def test_sample_determinism():
     assert first.stats == second.stats
 
 
-def test_sample_plan_mismatch():
-    c, g = sidon_instance(10)
-    plan = SamplePlan.from_spec(11, 2, 1, seed=0)
-    with pytest.raises(ParameterError):
-        sample_and_delete(c, g, plan)
-
-
 def test_sample_outputs_are_rainbow():
     for seed in range(8):
         c = random_colouring(seed, k=2, h=1, palette=3)
@@ -189,7 +182,7 @@ def test_sample_outputs_are_rainbow():
 def test_sample_matches_full_enumeration_reference(colour_seed, k, n, palette, plan_seed, p):
     # enumerating pairs only inside the kept set changes no subset and no stat
     c = random_colouring(colour_seed, k=k, h=1, palette=palette)
-    plan = SamplePlan(n=n, k=k, h=1, p=p, seed=plan_seed)
+    plan = SamplePlan(p=p, seed=plan_seed)
     result = sample_and_delete(c, GroundSet(n), plan)
     subset, stats = reference_sample_and_delete(c, n, plan)
     assert result.subset == subset
@@ -207,7 +200,7 @@ def test_sample_matches_full_enumeration_reference(colour_seed, k, n, palette, p
 def test_sample_dense_deletion_matches_reference(colouring, n, seed):
     # nothing is sampled away, so deletion runs for many rounds through many ties
     k = colouring.spec.k
-    plan = SamplePlan(n=n, k=k, h=1, p=1.0, seed=seed)
+    plan = SamplePlan(p=1.0, seed=seed)
     result = sample_and_delete(colouring, GroundSet(n), plan)
     subset, stats = reference_sample_and_delete(colouring, n, plan)
     assert result.subset == subset
@@ -264,7 +257,7 @@ def test_every_colour_value_is_keyed(odd):
     # plan keeps no vertex, so only the counting pass over the whole ground
     # set sees the last edge.
     c = Colouring(ColouringSpec(2, 1, 1), lambda e: odd if e == (4, 5) else 1, "mixed")
-    plan = SamplePlan(n=6, k=2, h=1, p=1e-9, seed=0)
+    plan = SamplePlan(p=1e-9, seed=0)
     with pytest.raises(TypeError):
         sample_and_delete(c, GroundSet(6), plan)
     with pytest.raises(TypeError):
