@@ -11,7 +11,6 @@ from .algebra import (
     IntegerInstance,
     PolyGround,
     SymPoly,
-    is_b2_sequence,
     poly_colouring,
     poly_prepare,
     sidon_colouring,
@@ -35,8 +34,6 @@ from .geometry import (
     circumradius_colouring,
     generate_general_position,
     similarity_colouring,
-    squared_circumradius,
-    squared_volume,
     volume_colouring,
 )
 from .hypergraph import (
@@ -82,15 +79,12 @@ __all__ = [
     "exact_max_rainbow",
     "generate_general_position",
     "greedy_rainbow",
-    "is_b2_sequence",
     "max_monochromatic_sunflower",
     "poly_colouring",
     "poly_prepare",
     "sample_and_delete",
     "sidon_colouring",
     "similarity_colouring",
-    "squared_circumradius",
-    "squared_volume",
     "validate_lambda",
     "verify_rainbow",
     "volume_colouring",

@@ -26,12 +26,13 @@ def require_budget(needed: int, budget: int, layer: str, what: str, unit: str) -
 def require_exact(value):
     """``value`` itself, unless it is a float or a bool.
 
-    File readers pass every JSON number through here before ``int`` or
-    ``Fraction`` sees it, so no value read from a file is truncated, rounded
-    or read as a binary fraction.
+    The instance types and ``SymPoly`` pass their numbers through here, and
+    file readers pass every JSON number before ``int`` or ``Fraction`` sees
+    it, so no value is truncated, rounded or read as a binary fraction.
     """
     if isinstance(value, (float, bool)):
-        raise ParameterError(f"{value!r} is not an exact number; write an int or a string")
+        raise ParameterError(
+            f"{type(value).__name__} {value!r} is not an exact number; write an int or a string")
     return value
 
 

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 from .errors import (
     BudgetError,
@@ -58,19 +58,6 @@ def det_exact(matrix: list[list[Fraction]]) -> Fraction:
     return det
 
 
-def _simplex_distances(points) -> list[list[Fraction]]:
-    """Squared-distance matrix of d+1 points in dimension d; ParameterError otherwise."""
-    pts = [as_point(p) for p in points]
-    if not pts:
-        raise ParameterError("no points given")
-    d = len(pts[0])
-    if any(len(p) != d for p in pts):
-        raise ParameterError("points have mixed dimensions")
-    if len(pts) != d + 1:
-        raise ParameterError(f"need d+1={d + 1} points in dimension {d}, got {len(pts)}")
-    return _distance_matrix(pts)
-
-
 def _distance_matrix(pts) -> list[list[Fraction]]:
     return [[squared_distance(p, q) for q in pts] for p in pts]
 
@@ -86,12 +73,14 @@ def _cayley_menger(dist, idxs) -> Fraction:
 
 
 def _volume(dist, idxs) -> Fraction:
+    """Squared d-volume of the simplex: (-1)^(d+1) / (2^d (d!)^2) times the bordered determinant."""
     d = len(idxs) - 1
     coefficient = Fraction((-1) ** (d + 1), (2 ** d) * math.factorial(d) ** 2)
     return coefficient * _cayley_menger(dist, idxs)
 
 
 def _circumradius(dist, idxs) -> Fraction:
+    """Squared circumradius -det D / (2 det M), D the distance matrix and M its bordered form."""
     bordered = _cayley_menger(dist, idxs)
     if bordered == 0:
         raise DegenerateInputError("points are affinely dependent; no circumsphere")
@@ -108,34 +97,11 @@ def _similarity_profile(dist, idxs) -> tuple[Fraction, ...]:
     )
 
 
-def squared_volume(points) -> Fraction:
-    """Squared d-volume of the simplex on d+1 points in dimension d.
-
-    Computed from the bordered squared-distance (Cayley-Menger) determinant:
-    Vol^2 = (-1)^(d+1) / (2^d (d!)^2) * det M with M the (d+2)x(d+2) matrix
-    whose first row and column are (0, 1, ..., 1) and whose interior holds
-    the pairwise squared distances.  Zero iff the points are affinely
-    dependent.
-    """
-    dist = _simplex_distances(points)
-    return _volume(dist, range(len(dist)))
-
-
-def squared_circumradius(points) -> Fraction:
-    """Exact squared circumradius of the simplex through d+1 independent points.
-
-    R^2 = -det D / (2 det M), with D the squared-distance matrix and M the
-    bordered one of ``squared_volume``; M is singular iff the points are
-    affinely dependent.
-    """
-    dist = _simplex_distances(points)
-    return _circumradius(dist, range(len(dist)))
-
-
 @dataclass(frozen=True)
 class PointInstance:
     """A point set in R^d with general-position flags.
 
+    Coordinates must be exact: a float or a bool raises ``ParameterError``.
     The flags only become True after the corresponding exhaustive check has
     passed; use ``validate`` or the check functions.
     """
@@ -150,6 +116,8 @@ class PointInstance:
             raise ParameterError("dimension must be at least 1")
         if any(len(p) != self.dim for p in self.points):
             raise ParameterError("point dimension mismatch")
+        for c in chain.from_iterable(self.points):
+            require_exact(c)
         if len(set(self.points)) != len(self.points):
             raise ParameterError("points must be distinct")
 

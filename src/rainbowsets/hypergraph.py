@@ -63,26 +63,13 @@ class Colouring:
     """A pure deterministic map from k-subsets of the ground set to colours.
 
     The evaluator receives the subset as a sorted tuple of vertex ids and
-    returns an exact hashable value (int, Fraction, tuple, ...).  Use
-    ``colour`` for arbitrary id order and ``colour_key`` for the canonical
-    byte serialization.
+    returns an exact hashable value (int, Fraction, tuple, ...);
+    ``keys.canonical_key`` serializes it.
     """
 
     spec: ColouringSpec
     evaluator: Callable[[tuple[int, ...]], object]
     label: str
-
-    def colour(self, edge) -> object:
-        e = tuple(sorted(edge))
-        if len(e) != self.spec.k:
-            raise ParameterError(f"edge must have {self.spec.k} vertices, got {len(e)}")
-        for a, b in zip(e, e[1:]):
-            if a == b:
-                raise ParameterError("edge vertices must be distinct")
-        return self.evaluator(e)
-
-    def colour_key(self, edge) -> bytes:
-        return canonical_key(self.colour(edge))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Shared fixtures-in-spirit: reference colourings and independent oracles.
 
 The oracles here deliberately re-derive everything from first principles
-(direct enumeration over cores and over pairs of edges) so the engine is
-never checked against itself.
+(direct enumeration over cores and over pairs of edges, Leibniz
+determinants, Gauss-Jordan solves) and call no package code, so the engine
+is never checked against itself.
 """
 
+import math
 import random
 from collections import Counter, defaultdict
 from fractions import Fraction
@@ -135,6 +137,12 @@ def direct_poly_value(coeffs, x, y, modulus=None):
                for (i, j), c in coeffs.items()) % modulus
 
 
+def is_sidon(values):
+    """True iff the pairwise differences of the values are distinct: a Sidon (B2) set."""
+    differences = [abs(a - b) for a, b in combinations(values, 2)]
+    return len(set(differences)) == len(differences)
+
+
 def gauss_jordan_solve(matrix, rhs):
     """Solve matrix . x = rhs over the rationals by Gauss-Jordan elimination.
 
@@ -210,3 +218,29 @@ def general_position_witnesses(points):
     sphere = next((idxs for idxs in combinations(range(len(points)), d + 2)
                    if leibniz_det([lifted[i] for i in idxs]) == 0), None)
     return hyperplane, sphere
+
+
+def simplex_squared_volume(points):
+    """Squared d-volume of the simplex on d+1 points: det(p_i - p_0)^2 / (d!)^2."""
+    origin = [Fraction(c) for c in points[0]]
+    rows = [[Fraction(c) - o for c, o in zip(p, origin)] for p in points[1:]]
+    return Fraction(leibniz_det(rows)) ** 2 / math.factorial(len(rows)) ** 2
+
+
+def circumcentre(points):
+    """The point equidistant from d+1 points in dimension d; None if they are affinely dependent.
+
+    It solves 2 (p - p0) . c = |p|^2 - |p0|^2 for the points p after the first.
+    """
+    p0 = points[0]
+    matrix = [[2 * (a - b) for a, b in zip(p, p0)] for p in points[1:]]
+    rhs = [sum(c * c for c in p) - sum(c * c for c in p0) for p in points[1:]]
+    return gauss_jordan_solve(matrix, rhs)
+
+
+def simplex_squared_circumradius(points):
+    """Squared distance from the circumcentre to the first point; None if there is no centre."""
+    centre = circumcentre(points)
+    if centre is None:
+        return None
+    return sum((c - Fraction(x)) ** 2 for c, x in zip(centre, points[0]))

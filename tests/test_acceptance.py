@@ -15,12 +15,11 @@ from statistics import median
 
 import pytest
 
-from helpers import brute_force_max_petals, random_colouring
+from helpers import brute_force_max_petals, random_colouring, simplex_squared_volume
 from rainbowsets import cli
 from rainbowsets.algebra import (
     IntegerInstance,
     SymPoly,
-    is_b2_sequence,
     poly_colouring,
     poly_prepare,
     sidon_colouring,
@@ -41,11 +40,10 @@ from rainbowsets.geometry import (
     circumradius_colouring,
     generate_general_position,
     similarity_colouring,
-    squared_circumradius,
-    squared_volume,
     volume_colouring,
 )
 from rainbowsets.hypergraph import GroundSet, max_monochromatic_sunflower, validate_lambda
+from rainbowsets.keys import canonical_key
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -221,10 +219,15 @@ def test_declared_petal_bounds_hold():
     assert not violations
 
 
+def _simplex_colour(factory, points):
+    """The colour ``factory`` gives the validated simplex on exactly these d+1 points."""
+    inst = PointInstance(dim=len(points[0]), points=tuple(as_point(p) for p in points))
+    return factory(inst.validate()).evaluator(tuple(range(len(points))))
+
+
 def _similarity_key(points) -> bytes:
     """Key of the triangle's similarity class, read from the similarity colouring."""
-    inst = PointInstance(dim=2, points=tuple(as_point(p) for p in points)).validate(sphere=False)
-    return similarity_colouring(inst).colour_key((0, 1, 2))
+    return canonical_key(_simplex_colour(similarity_colouring, points))
 
 
 def test_exact_geometry_values():
@@ -233,10 +236,10 @@ def test_exact_geometry_values():
     for d in (2, 3, 4):
         pts = [tuple(0 for _ in range(d))]
         pts += [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
-        if squared_volume(pts) != Fraction(1, math.factorial(d) ** 2):
+        if _simplex_colour(volume_colouring, pts) != Fraction(1, math.factorial(d) ** 2):
             problems.append(f"unit simplex d={d}")
 
-    if squared_circumradius([(0, 0), (3, 0), (0, 4)]) != Fraction(25, 4):
+    if _simplex_colour(circumradius_colouring, [(0, 0), (3, 0), (0, 4)]) != Fraction(25, 4):
         problems.append("circumradius 3-4-5")
 
     rng = random.Random(99)
@@ -247,7 +250,7 @@ def test_exact_geometry_values():
                  Fraction(rng.randint(-40, 40), rng.randint(1, 5)))
                 for _ in range(3)
             ]
-            if squared_volume(pts) != 0:
+            if simplex_squared_volume(pts) != 0:
                 break
         base = _similarity_key(pts)
         shuffled = list(pts)
@@ -261,6 +264,57 @@ def test_exact_geometry_values():
             break
 
     report("exact-geometry-values", not problems, f"problems: {problems}")
+    assert not problems
+
+
+def spiral_points(n: int) -> PointInstance:
+    """The powers z^0..z^(n-1) of the Gaussian integer z = 1 + 2i, as validated points.
+
+    Multiplying by z is a spiral similarity, (a, b) -> (a - 2b, 2a + b), so
+    triangles repeat their similarity class, and volumes and radii repeat
+    too: unlike random points, these carry real colour conflicts.
+    """
+    pts = [(1, 0)]
+    while len(pts) < n:
+        a, b = pts[-1]
+        pts.append((a - 2 * b, 2 * a + b))
+    return PointInstance(dim=2, points=tuple(as_point(p) for p in pts)).validate()
+
+
+def test_spiral_conflicts_separate_greedy_from_optimum():
+    sizes = {}
+    problems = []
+    for n in (8, 10, 12):
+        inst = spiral_points(n)
+        ground = GroundSet(n)
+        for factory in (circumradius_colouring, volume_colouring, similarity_colouring):
+            colouring = factory(inst)
+            spec = colouring.spec
+            ok, rep = validate_lambda(colouring, ground)
+            greedy = greedy_rainbow(colouring, ground)
+            sampled = sample_and_delete(
+                colouring, ground, SamplePlan.from_spec(n, spec.k, spec.h, seed=n))
+            exact = exact_max_rainbow(colouring, ground)
+            name = f"{colouring.label} n={n}"
+            if not ok:
+                problems.append(f"{name}: {rep.petals} petals")
+            if not all(r.verified for r in (greedy, sampled, exact)):
+                problems.append(f"{name}: unverified result")
+            if exact.size < max(greedy.size, sampled.size):
+                problems.append(f"{name}: oracle dominated")
+            if any(verify_rainbow(colouring, greedy.subset + (v,))
+                   for v in ground.vertices if v not in greedy.subset):
+                problems.append(f"{name}: greedy not maximal")
+            sizes[colouring.label, n] = greedy.size, exact.size
+    # (greedy, exact) sizes; greedy falls short of the optimum in four cases
+    expected = {
+        ("circumradius", 8): (6, 6), ("circumradius", 10): (8, 8), ("circumradius", 12): (9, 9),
+        ("volume", 8): (5, 7), ("volume", 10): (6, 8), ("volume", 12): (8, 9),
+        ("similarity", 8): (5, 5), ("similarity", 10): (5, 6), ("similarity", 12): (6, 6),
+    }
+    if sizes != expected:
+        problems.append(f"sizes {sizes}")
+    report("spiral-conflicts", not problems, f"problems: {problems}")
     assert not problems
 
 

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from helpers import all_subsets, direct_poly_value
+from helpers import all_subsets, direct_poly_value, is_sidon
 from rainbowsets.algebra import (
     IntegerInstance,
     PolyGround,
     SymPoly,
     integers_from_obj,
     integers_to_obj,
-    is_b2_sequence,
     is_prime,
     poly_colouring,
     poly_prepare,
@@ -23,6 +22,7 @@ from rainbowsets.algebra import (
 from rainbowsets.engine import exact_max_rainbow, verify_rainbow
 from rainbowsets.errors import ParameterError, ValidationError
 from rainbowsets.hypergraph import GroundSet, validate_lambda
+from rainbowsets.keys import canonical_key
 
 X_PLUS_Y = {(1, 0): 1, (0, 1): 1}
 XY = {(1, 1): 1}
@@ -49,7 +49,7 @@ def test_sympoly_validation():
 def test_sympoly_mod_reduction():
     poly = SymPoly(5, {(1, 0): 7, (0, 1): 7})
     assert poly.coeffs == {(0, 1): 2, (1, 0): 2}
-    assert poly.evaluate(2, 4) == (2 * 2 + 2 * 4) % 5
+    assert poly.pair_evaluator((2, 4))((0, 1)) == (2 * 2 + 2 * 4) % 5
 
 
 def test_sympoly_refuses_inexact_coefficients():
@@ -61,6 +61,14 @@ def test_sympoly_refuses_inexact_coefficients():
     with pytest.raises(ParameterError, match="float"):
         SymPoly("Q", {(1, 1): 0.1})  # would enter as a binary fraction
     assert SymPoly(7, {(1, 1): Fraction(6, 2)}).coeffs == {(1, 1): 3}
+
+
+def test_sympoly_refuses_bools():
+    # a bool would otherwise enter as 0 or 1 and build x + y here
+    with pytest.raises(ParameterError, match="bool True is not an exact number"):
+        SymPoly("Q", {(1, 0): True, (0, 1): True})
+    with pytest.raises(ParameterError, match="bool"):
+        poly_prepare(SymPoly(5, X_PLUS_Y), [1, False])
 
 
 def test_prepare_refuses_inexact_values():
@@ -148,8 +156,8 @@ def test_prepare_rejects_duplicates():
 def test_poly_colouring_values():
     prep = poly_prepare(SymPoly("Q", X_PLUS_Y), [1, 2, 3])
     c = poly_colouring(prep)
-    assert c.colour((0, 1)) == 3
-    assert c.colour_key((0, 1)) == b"3"
+    assert c.evaluator((0, 1)) == 3
+    assert canonical_key(c.evaluator((0, 1))) == b"3"
     assert (c.spec.k, c.spec.h, c.spec.max_petals) == (2, 1, 1)
 
 
@@ -157,14 +165,15 @@ def test_poly_colouring_gf5():
     prep = poly_prepare(SymPoly(5, XY), [1, 2, 3, 4])
     c = poly_colouring(prep)
     ids = {v: i for i, v in enumerate(prep.kept)}
-    assert c.colour((ids[2], ids[4])) == 3  # 8 mod 5
+    assert c.evaluator((ids[2], ids[4])) == 3  # 8 mod 5
 
 
 def test_poly_colouring_symmetric_keys():
     prep = poly_prepare(SymPoly("Q", X2_PLUS_Y2), list(range(1, 9)))
     c = poly_colouring(prep)
     for a, b in combinations(range(len(prep.kept)), 2):
-        assert c.colour_key((a, b)) == c.colour_key((b, a))
+        x, y = prep.kept[a], prep.kept[b]
+        assert c.evaluator((a, b)) == c.evaluator((b, a)) == x * x + y * y
 
 
 def test_poly_colouring_rejects_unprepared():
@@ -180,10 +189,11 @@ def test_poly_colouring_is_pure():
     rng = random.Random(17)
     prep = poly_prepare(SymPoly(11, {(1, 1): 4, (2, 0): 1, (0, 2): 1}), list(range(1, 9)))
     c = poly_colouring(prep)
+    coeffs = prep.poly.coeffs
     for _ in range(20):
-        edge = tuple(rng.sample(range(len(prep.kept)), 2))
-        assert c.colour_key(edge) == c.colour_key(edge)
-        assert c.colour_key(edge) == c.colour_key(edge[::-1])
+        a, b = sorted(rng.sample(range(len(prep.kept)), 2))
+        expected = direct_poly_value(coeffs, prep.kept[a], prep.kept[b], 11)
+        assert c.evaluator((a, b)) == c.evaluator((a, b)) == expected
 
 
 @st.composite
@@ -244,8 +254,8 @@ def test_poly_lambda_audit():
 def test_sidon_colour_values():
     inst = IntegerInstance(values=(3, 10))
     c = sidon_colouring(inst)
-    assert c.colour((0, 1)) == 7
-    assert c.colour_key((0, 1)) == b"7"
+    assert c.evaluator((0, 1)) == 7
+    assert canonical_key(c.evaluator((0, 1))) == b"7"
 
 
 def test_sidon_lambda_on_range_50():
@@ -266,20 +276,26 @@ def test_integer_instance_invariants():
         IntegerInstance(values=())
 
 
+def test_integer_instance_refuses_floats_and_bools():
+    # a float would become a float colour that greedy compares and verifies
+    with pytest.raises(ParameterError, match="float 2.5 is not an exact number"):
+        IntegerInstance(values=(1, 2.5, 4))
+    with pytest.raises(ParameterError, match="bool True is not an exact number"):
+        IntegerInstance(values=(True, 2))
+    with pytest.raises(ParameterError, match="float"):
+        IntegerInstance(values=(0.5, 1))  # refused as inexact before the positivity check
+    with pytest.raises(ParameterError, match="positive"):
+        IntegerInstance(values=(0, 2, 1))  # positivity before ordering
+
+
 # ----------------------------------------------------------------- B2
 
 
 def test_is_b2_examples():
-    assert is_b2_sequence((1, 2, 5, 11))
-    assert not is_b2_sequence((1, 2, 3))
-    assert is_b2_sequence((7,))
-
-
-def test_is_b2_rejects_bad_input():
-    with pytest.raises(ParameterError):
-        is_b2_sequence((3, 2))
-    with pytest.raises(ParameterError):
-        is_b2_sequence((0, 4))
+    for values, sidon in (((1, 2, 5, 11), True), ((1, 2, 3), False), ((7,), True)):
+        assert is_sidon(values) is sidon
+        c = sidon_colouring(IntegerInstance(values=values))
+        assert verify_rainbow(c, range(len(values))) is sidon
 
 
 def test_rainbow_iff_b2():
@@ -287,7 +303,7 @@ def test_rainbow_iff_b2():
     c = sidon_colouring(IntegerInstance(values=values))
     for subset in all_subsets(8):
         picked = tuple(values[i] for i in subset)
-        expected = is_b2_sequence(picked) if picked else True
+        expected = is_sidon(picked)
         assert verify_rainbow(c, subset) == expected
 
 
@@ -302,7 +318,7 @@ def test_engine_outputs_are_b2():
         greedy_rainbow(c, g, order=3),
         sample_and_delete(c, g, SamplePlan.from_spec(40, 2, 1, seed=3)),
     ):
-        assert is_b2_sequence(tuple(values[i] for i in result.subset))
+        assert is_sidon(tuple(values[i] for i in result.subset))
 
 
 def test_sum_colouring_dominates_difference_colouring():

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from helpers import is_sidon
 import rainbowsets
 from rainbowsets import cli
-from rainbowsets.algebra import IntegerInstance, integers_to_obj, is_b2_sequence
+from rainbowsets.algebra import IntegerInstance, integers_to_obj
 from rainbowsets.engine import BENCH_CSV_HEADER, exact_max_rainbow
 from rainbowsets.geometry import PointInstance, points_from_obj, points_to_obj
 from rainbowsets.hypergraph import GroundSet
@@ -97,7 +98,7 @@ def test_find_sidon_greedy(tmp_path, capsys):
     assert result["verified"] is True
     assert result["algorithm"] == "greedy"
     values = [int(v) for v in result["subset"]]
-    assert is_b2_sequence(values)
+    assert is_sidon(values)
     assert result["size"] == len(values)
     assert "runtime" not in json.dumps(result)
     err = capsys.readouterr().err
@@ -152,7 +153,7 @@ def test_find_sample_delete_sidon_1000(tmp_path):
     result = json.loads(out.read_text())
     assert result["verified"] is True
     assert result["stats"]["pairs_total"] == 166167000
-    assert is_b2_sequence([int(v) for v in result["subset"]])
+    assert is_sidon([int(v) for v in result["subset"]])
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "ec7fde40b1516d746ca7a4316da15b459a960302c06c84e0fb1771d46859c33e")
 

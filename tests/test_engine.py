@@ -44,6 +44,16 @@ def test_greedy_sidon_hand_trace():
     assert result.verified
 
 
+def test_greedy_sidon_is_mian_chowla():
+    # natural-order greedy on 1..N takes the least value that keeps every
+    # difference distinct: the Mian-Chowla sequence, OEIS A005282
+    c, g = sidon_instance(500)
+    result = greedy_rainbow(c, g)
+    assert [v + 1 for v in result.subset] == [
+        1, 2, 4, 8, 13, 21, 31, 45, 66, 81, 97, 123, 148, 182, 204, 252, 290, 361, 401, 475]
+    assert result.verified
+
+
 def test_greedy_injective_takes_everything():
     c = injective_colouring(k=2)
     result = greedy_rainbow(c, GroundSet(9))

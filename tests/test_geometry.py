@@ -8,7 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import gauss_jordan_solve, general_position_witnesses, lifted_determinant
+from helpers import (
+    circumcentre,
+    general_position_witnesses,
+    lifted_determinant,
+    simplex_squared_circumradius,
+    simplex_squared_volume,
+)
 from rainbowsets.errors import (
     BudgetError,
     DegenerateInputError,
@@ -25,12 +31,22 @@ from rainbowsets.geometry import (
     points_from_obj,
     points_to_obj,
     similarity_colouring,
-    squared_circumradius,
     squared_distance,
-    squared_volume,
     volume_colouring,
 )
 from rainbowsets.hypergraph import GroundSet, validate_lambda
+from rainbowsets.keys import canonical_key
+
+
+def simplex_colour(factory, points):
+    """The colour ``factory`` gives the simplex on exactly these d+1 points.
+
+    The flags are set without their checks, so a degenerate simplex reaches
+    the evaluator.
+    """
+    inst = PointInstance(dim=len(points[0]), points=tuple(as_point(p) for p in points),
+                         no_hyperplane=True, no_sphere=True)
+    return factory(inst).evaluator(tuple(range(len(points))))
 
 
 def rational_triangle(rng, bound=50):
@@ -40,7 +56,7 @@ def rational_triangle(rng, bound=50):
              Fraction(rng.randint(-bound, bound), rng.randint(1, 7)))
             for _ in range(3)
         ]
-        if squared_volume(pts) != 0:
+        if simplex_squared_volume(pts) != 0:
             return pts
 
 
@@ -48,68 +64,69 @@ def rational_triangle(rng, bound=50):
 
 
 def test_squared_volume_unit_right_triangle():
-    assert squared_volume([(0, 0), (1, 0), (0, 1)]) == Fraction(1, 4)
+    assert simplex_colour(volume_colouring, [(0, 0), (1, 0), (0, 1)]) == Fraction(1, 4)
 
 
 def test_squared_volume_corner_simplices():
     for d in (2, 3, 4):
         pts = [tuple(0 for _ in range(d))]
         pts += [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
-        assert squared_volume(pts) == Fraction(1, math.factorial(d) ** 2)
+        assert simplex_colour(volume_colouring, pts) == Fraction(1, math.factorial(d) ** 2)
 
 
 def test_squared_volume_degenerate():
-    assert squared_volume([(0, 0), (1, 1), (2, 2)]) == 0
-
-
-def test_squared_volume_shape_errors():
-    with pytest.raises(ParameterError):
-        squared_volume([(0, 0), (1, 0)])
-    with pytest.raises(ParameterError):
-        squared_volume([(0, 0), (1, 0), (0, 1, 2)])
+    assert simplex_colour(volume_colouring, [(0, 0), (1, 1), (2, 2)]) == 0
 
 
 def test_squared_volume_invariances():
     rng = random.Random(3)
     for _ in range(20):
         pts = rational_triangle(rng)
-        base = squared_volume(pts)
+        base = simplex_colour(volume_colouring, pts)
+        assert base == simplex_squared_volume(pts)
         shuffled = list(pts)
         rng.shuffle(shuffled)
-        assert squared_volume(shuffled) == base
+        assert simplex_colour(volume_colouring, shuffled) == base
         shift = (Fraction(rng.randint(-9, 9), 5), Fraction(rng.randint(-9, 9), 5))
         moved = [(x + shift[0], y + shift[1]) for x, y in pts]
-        assert squared_volume(moved) == base
+        assert simplex_colour(volume_colouring, moved) == base
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=st.integers(1, 4).flatmap(lambda d: st.lists(
+    st.tuples(*[st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))] * d),
+    min_size=d + 1, max_size=d + 1, unique=True)))
+@example(points=[(0, 0), (1, 1), (2, 2)])
+@example(points=[(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 5)])
+def test_squared_volume_matches_leibniz_oracle(points):
+    assert simplex_colour(volume_colouring, points) == simplex_squared_volume(points)
 
 
 # ------------------------------------------------------- circumradius
 
 
 def test_circumradius_right_triangle():
-    assert squared_circumradius([(0, 0), (3, 0), (0, 4)]) == Fraction(25, 4)
+    assert simplex_colour(circumradius_colouring, [(0, 0), (3, 0), (0, 4)]) == Fraction(25, 4)
 
 
 def test_circumradius_isoceles():
     # centre (1, 3/4), squared radius 1 + 9/16
-    assert squared_circumradius([(0, 0), (2, 0), (1, 2)]) == Fraction(25, 16)
+    assert simplex_colour(circumradius_colouring, [(0, 0), (2, 0), (1, 2)]) == Fraction(25, 16)
 
 
 def test_circumradius_collinear_rejected():
     with pytest.raises(DegenerateInputError):
-        squared_circumradius([(0, 0), (1, 1), (2, 2)])
+        simplex_colour(circumradius_colouring, [(0, 0), (1, 1), (2, 2)])
 
 
 def test_circumradius_equidistance_property():
     rng = random.Random(11)
     for _ in range(20):
         pts = rational_triangle(rng)
-        r2 = squared_circumradius(pts)
+        r2 = simplex_colour(circumradius_colouring, pts)
         # recover the centre independently from two perpendicular bisector rows
-        p0 = pts[0]
-        matrix = [[2 * (a - b) for a, b in zip(p, p0)] for p in pts[1:]]
-        rhs = [sum(c * c for c in p) - sum(c * c for c in p0) for p in pts[1:]]
-        centre = tuple(gauss_jordan_solve(matrix, rhs))
-        assert all(squared_distance(centre, p) == r2 for p in pts)
+        centre = tuple(circumcentre(pts))
+        assert all(squared_distance(centre, as_point(p)) == r2 for p in pts)
 
 
 # small rational coordinates, so that dependent and cospherical sets are common
@@ -130,17 +147,13 @@ def point_lists(least, most, coords=coordinates):
 @example(points=[(1, 2, 2), (2, 1, -2), (-2, 2, 1), (2, -2, 1)])
 @example(points=[(0,), (3,)])
 def test_circumradius_is_distance_to_solved_centre(points):
-    # the centre solves 2(p - p0).c = |p|^2 - |p0|^2; it is unique iff the
-    # points are affinely independent
-    p0 = points[0]
-    matrix = [[2 * (a - b) for a, b in zip(p, p0)] for p in points[1:]]
-    rhs = [sum(c * c for c in p) - sum(c * c for c in p0) for p in points[1:]]
-    centre = gauss_jordan_solve(matrix, rhs)
-    if centre is None:
+    # the centre is unique iff the points are affinely independent
+    expected = simplex_squared_circumradius(points)
+    if expected is None:
         with pytest.raises(DegenerateInputError):
-            squared_circumradius(points)
+            simplex_colour(circumradius_colouring, points)
     else:
-        assert squared_circumradius(points) == squared_distance(tuple(centre), as_point(p0))
+        assert simplex_colour(circumradius_colouring, points) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -172,9 +185,7 @@ def _with_cospherical(n, seed):
     """n points in general position in R^3 plus the antipode of the last on the sphere
     through the last four."""
     pts = [tuple(p) for p in generate_general_position(n, 3, seed).points]
-    first, *rest = pts[-4:]
-    centre = gauss_jordan_solve([[2 * (x - y) for x, y in zip(p, first)] for p in rest],
-                                [sum(x * x for x in p) - sum(y * y for y in first) for p in rest])
+    centre = circumcentre(pts[-4:])
     return pts + [tuple(2 * c - x for c, x in zip(centre, pts[-1]))]
 
 
@@ -201,7 +212,7 @@ def test_violations_match_determinant_oracle(points):
 def similarity_key(points) -> bytes:
     """Key of the triangle's similarity class, read from the similarity colouring."""
     inst = PointInstance(dim=2, points=tuple(as_point(p) for p in points))
-    return similarity_colouring(inst.validate(sphere=False)).colour_key((0, 1, 2))
+    return canonical_key(similarity_colouring(inst.validate(sphere=False)).evaluator((0, 1, 2)))
 
 
 def test_similarity_permutation_invariance():
@@ -233,7 +244,7 @@ def test_similarity_degenerate_rejected():
     collinear = PointInstance(dim=2, points=tuple(as_point(p) for p in [(0, 0), (1, 1), (3, 3)]),
                               no_hyperplane=True)
     with pytest.raises(DegenerateInputError):
-        similarity_colouring(collinear).colour_key((0, 1, 2))
+        similarity_colouring(collinear).evaluator((0, 1, 2))
 
 
 # --------------------------------------------------------- validators
@@ -331,6 +342,15 @@ def test_instance_invariants():
         PointInstance(dim=2, points=((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))))
     with pytest.raises(ParameterError):
         PointInstance(dim=2, points=((Fraction(0),),))
+
+
+def test_instance_refuses_floats_and_bools():
+    # a float would reach the integer scaling of the validators as a binary fraction
+    with pytest.raises(ParameterError, match="float 0.5 is not an exact number"):
+        PointInstance(dim=1, points=((0.5,), (1,)))
+    with pytest.raises(ParameterError, match="bool True is not an exact number"):
+        PointInstance(dim=2, points=((0, 0), (True, 2)))
+    assert PointInstance(dim=1, points=((Fraction(1, 2),), (1,))).validate().no_sphere
 
 
 # ---------------------------------------------------------- generator
@@ -465,26 +485,29 @@ def test_lambda_audits_small(seed):
 
 def test_squared_radius_colours_like_radius():
     # equal squared circumradius iff equal circumradius for positive radii,
-    # so colour keys collide exactly when the radii agree
-    from itertools import combinations
-
+    # so colours collide exactly when the independently solved radii agree
     inst = generate_general_position(6, 2, seed=8)
     c = circumradius_colouring(inst)
-    for e1, e2 in combinations(combinations(range(6), 3), 2):
-        r1 = squared_circumradius([inst.points[i] for i in e1])
-        r2 = squared_circumradius([inst.points[i] for i in e2])
-        assert (c.colour_key(e1) == c.colour_key(e2)) == (r1 == r2)
+    edges = list(combinations(range(6), 3))
+    radii = {e: simplex_squared_circumradius([inst.points[i] for i in e]) for e in edges}
+    for e in edges:
+        assert c.evaluator(e) == radii[e]
+    for e1, e2 in combinations(edges, 2):
+        assert (c.evaluator(e1) == c.evaluator(e2)) == (radii[e1] == radii[e2])
 
 
 def test_geometry_colourings_are_pure():
+    # each colour is a function of the point set: listing the points in
+    # another order, as a fresh instance, gives the same colour
     rng = random.Random(21)
     inst = generate_general_position(7, 2, seed=13)
     for factory in (circumradius_colouring, volume_colouring, similarity_colouring):
         c = factory(inst)
         for _ in range(15):
-            edge = tuple(rng.sample(range(7), 3))
-            assert c.colour_key(edge) == c.colour_key(edge)
-            assert c.colour_key(edge) == c.colour_key(edge[::-1])
+            edge = tuple(sorted(rng.sample(range(7), 3)))
+            reordered = [inst.points[i] for i in edge[::-1]]
+            assert c.evaluator(edge) == c.evaluator(edge)
+            assert c.evaluator(edge) == simplex_colour(factory, reordered)
 
 
 def test_points_json_roundtrip():
