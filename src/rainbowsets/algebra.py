@@ -96,27 +96,25 @@ class SymPoly:
     def pair_evaluator(self, values):
         """The map ``(a, b) -> p(values[a], values[b])`` on field elements, in integers.
 
-        Over Q the values are scaled by their common denominator L and the
+        The values are scaled by their common denominator L and the
         coefficients by theirs, D, so each term becomes an integer multiple of
         1 / (D * L**degree); over GF(p), L = D = 1 and the total is reduced
         mod p.  Powers of every value are computed once.
         """
         degree = self.degree
+        scale = math.lcm(*(v.denominator for v in values))
+        clear = math.lcm(*(c.denominator for c in self.coeffs.values()))
+        terms = [(i, j, (c * clear).numerator * scale ** (degree - i - j))
+                 for (i, j), c in self.coeffs.items()]
+        xs = [v.numerator * (scale // v.denominator) for v in values]
+        powers = [[x**e for e in range(degree + 1)] for x in xs]
         if self.field == RATIONALS:
-            scale = math.lcm(*(v.denominator for v in values))
-            clear = math.lcm(*(c.denominator for c in self.coeffs.values()))
-            terms = [(i, j, (c * clear).numerator * scale ** (degree - i - j))
-                     for (i, j), c in self.coeffs.items()]
-            xs = [v.numerator * (scale // v.denominator) for v in values]
-            powers = [[x**e for e in range(degree + 1)] for x in xs]
             denominator = clear * scale**degree
 
             def finish(total):
                 return Fraction(total, denominator)
         else:
             p = self.field
-            terms = [(i, j, c) for (i, j), c in self.coeffs.items()]
-            powers = [[pow(x, e, p) for e in range(degree + 1)] for x in values]
 
             def finish(total):
                 return total % p

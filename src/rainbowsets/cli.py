@@ -231,7 +231,7 @@ def _cmd_bench(args) -> int:
         raise ParameterError(f"need at least 4 grid points for the exponent fit, got {len(grid)}")
     algorithms = [a.replace("-", "_") for a in args.algorithms.split(",") if a]
     for a in algorithms:
-        if a not in ("greedy", "sample_delete", "exact"):
+        if a.replace("_", "-") not in ALGORITHMS:
             raise ParameterError(f"unknown algorithm {a!r}")
     if args.trials < 3:
         raise ParameterError("need at least 3 trials per grid point for the fit")

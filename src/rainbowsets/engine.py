@@ -20,11 +20,9 @@ from .errors import ParameterError, require_budget
 from .hypergraph import (
     DEFAULT_BUDGET,
     Colouring,
-    ConflictHypergraph,
     GroundSet,
     build_conflict_hypergraph,
     colour_class_sizes,
-    colour_classes,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -231,11 +229,11 @@ def sample_and_delete(colouring: Colouring, ground: GroundSet, plan: SamplePlan,
     its edges.  The remainder is independent in the conflict hypergraph,
     hence rainbow.
 
-    Only pairs inside the kept set can matter, so only those are budgeted;
-    their degrees come in closed form from the class sizes and no pair is
-    listed.  The ground set's colour classes are merely counted, for
-    ``pairs_total``, after C(N, k) colour evaluations are checked against the
-    budget.
+    Only pairs among the kept vertices can matter, so only those are
+    budgeted, by ``build_conflict_hypergraph``; their degrees come in closed
+    form from the class sizes and no pair is listed.  The ground set's colour
+    classes are merely counted, for ``pairs_total``, after C(N, k) colour
+    evaluations are checked against the budget.
     """
     t0 = time.perf_counter()
     sizes = colour_class_sizes(colouring, ground, budget=budget)
@@ -244,15 +242,12 @@ def sample_and_delete(colouring: Colouring, ground: GroundSet, plan: SamplePlan,
     kept = {v for v in ground.vertices if rng.random() < plan.p}
     kept_after_sampling = len(kept)
 
-    classes = colour_classes(colouring, ground, budget=budget, vertices=sorted(kept))
-    hypergraph = ConflictHypergraph(
-        ground, tuple(tuple(edges) for edges in classes.values() if len(edges) > 1))
+    hypergraph = build_conflict_hypergraph(colouring, ground, budget=budget,
+                                           vertices=sorted(kept))
     pairs_after_sampling = hypergraph.num_pairs
-    require_budget(pairs_after_sampling, budget, "index", "conflict pairs inside the kept set",
-                   "pairs")
 
     deleted = 0
-    while hypergraph.classes:
+    while hypergraph.num_pairs:
         degrees = hypergraph.pair_degrees()
         victim = degrees.index(max(degrees))
         kept.discard(victim)
@@ -282,8 +277,9 @@ def exact_max_rainbow(colouring: Colouring, ground: GroundSet, limit: int | None
     position i (the one earlier position for k = 2, a sorted tuple
     otherwise) to one bit, that of the edge's colour class, so the search
     colours nothing and holds the classes in use as an int mask.  The
-    natural-order greedy result seeds the bound, and branches that cannot
-    strictly beat the incumbent are pruned.  Deterministic.
+    natural-order greedy result seeds the bound; it runs on each edge's class
+    index, which equal colours share, so it colours nothing either.  Branches
+    that cannot strictly beat the incumbent are pruned.  Deterministic.
     """
     n, k = ground.n, colouring.spec.k
     if k > n:
@@ -296,12 +292,15 @@ def exact_max_rainbow(colouring: Colouring, ground: GroundSet, limit: int | None
     order = sorted(range(n), key=lambda v: (-degrees[v], v))
     position = {v: i for i, v in enumerate(order)}
     closing: list[dict] = [{} for _ in range(n)]
+    class_of: dict[tuple[int, ...], int] = {}
     for index, edges in enumerate(hypergraph.classes):
         for e in edges:
+            class_of[e] = index
             *rest, last = sorted(map(position.__getitem__, e))
             closing[last][rest[0] if k == 2 else tuple(rest)] = 1 << index
 
-    best = list(greedy_rainbow(colouring, ground, budget=budget).subset)
+    by_class = Colouring(colouring.spec, class_of.__getitem__, colouring.label)
+    best = list(greedy_rainbow(by_class, ground, budget=budget).subset)
     nodes = 0
 
     def extend(i: int, chosen: list[int], used: int) -> None:

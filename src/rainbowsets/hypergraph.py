@@ -189,8 +189,6 @@ def max_monochromatic_sunflower(
     k = colouring.spec.k
     if not 0 <= h < k:
         raise ParameterError(f"core size must satisfy 0 <= h < k, got h={h}")
-    if ground.n < k:
-        raise ParameterError(f"need at least k={k} vertices, got {ground.n}")
     require_budget(math.comb(ground.n, k) * math.comb(k, h), budget, "verify", "sunflower audit",
                    "(edge, core) incidences")
     classes = colour_classes(colouring, ground, budget=budget)
@@ -219,14 +217,15 @@ def validate_lambda(
 
 
 def build_conflict_hypergraph(
-    colouring: Colouring, ground: GroundSet, budget: int = DEFAULT_BUDGET
+    colouring: Colouring, ground: GroundSet, budget: int = DEFAULT_BUDGET, vertices=None
 ) -> ConflictHypergraph:
-    """Group the k-edges into colour classes, budgeting their conflict pairs.
+    """Group the k-edges of ``vertices`` into colour classes, budgeting their conflict pairs.
 
-    The conflict pairs number the sum of C(class size, 2) over the classes;
-    that count is checked against the budget, though no pair is enumerated.
+    ``vertices`` is as in ``colour_classes``.  The conflict pairs number the
+    sum of C(class size, 2) over the classes; that count is checked against
+    the budget, though no pair is enumerated.
     """
-    classes = colour_classes(colouring, ground, budget=budget)
+    classes = colour_classes(colouring, ground, budget=budget, vertices=vertices)
     hypergraph = ConflictHypergraph(ground, tuple(tuple(edges) for edges in classes.values()))
     require_budget(hypergraph.num_pairs, budget, "index", "conflict pair enumeration", "pairs")
     return hypergraph

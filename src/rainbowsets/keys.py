@@ -4,9 +4,9 @@ Colour evaluators return exact Python values (int, Fraction, str, bytes, or
 tuples of these); ``canonical_key`` serializes them so that two values are
 equal exactly when their keys are byte-identical.  Reports and files carry
 keys; in-memory algorithms may compare the raw values directly, which is
-equivalent because the encoding is injective.  Plain ``int`` and ``Fraction``
-values, the common case, take a fast path that gives the same bytes as
-``str(value).encode("ascii")``.
+equivalent because the encoding is injective.  Numbers are keyed by
+value, so an ``int`` or ``Fraction`` subclass (an ``IntEnum`` member, say)
+shares the key of the equal plain number whatever its ``str`` says.
 """
 
 from fractions import Fraction
@@ -20,17 +20,16 @@ def canonical_key(value) -> bytes:
     Strings and bytes are length-prefixed, tuples are bracketed, so distinct
     structured values never collide.
     """
-    kind = type(value)
-    if kind is int:
+    if type(value) is int:  # the common case, ahead of the bool test
         return b"%d" % value
-    if kind is Fraction:
+    if isinstance(value, Fraction):
         if value.denominator == 1:
             return b"%d" % value.numerator
         return b"%d/%d" % (value.numerator, value.denominator)
     if isinstance(value, bool):
         raise TypeError("booleans are not colour values")
-    if isinstance(value, (int, Fraction)):
-        return str(value).encode("ascii")
+    if isinstance(value, int):
+        return b"%d" % value
     if isinstance(value, str):
         data = value.encode("utf-8")
         return b"s%d:%s" % (len(data), data)

@@ -244,3 +244,40 @@ def simplex_squared_circumradius(points):
     if centre is None:
         return None
     return sum((c - Fraction(x)) ** 2 for c, x in zip(centre, points[0]))
+
+
+def parabola_squared_area(a, b, c):
+    """Squared area of the triangle on (a, a^2), (b, b^2), (c, c^2): ((b-a)(c-a)(c-b))^2 / 4."""
+    return Fraction(((b - a) * (c - a) * (c - b)) ** 2, 4)
+
+
+def parabola_squared_areas(xs) -> set:
+    """The distinct squared areas of the triangles on the parabola points (x, x^2), x in xs."""
+    return {parabola_squared_area(a, b, c) for a, b, c in combinations(xs, 3)}
+
+
+def parabola_max_rainbow(xs) -> tuple:
+    """A largest subset of xs whose triangles on the parabola have pairwise distinct areas.
+
+    Exhaustive search in increasing x that extends only admissible prefixes
+    and stops a branch that cannot beat the best so far; the first largest
+    subset found wins.
+    """
+    xs = sorted(xs)
+    best: list = []
+
+    def extend(start: int, chosen: list, seen: set) -> None:
+        nonlocal best
+        if len(chosen) > len(best):
+            best = list(chosen)
+        for i in range(start, len(xs)):
+            if len(chosen) + len(xs) - i <= len(best):
+                return
+            new = [parabola_squared_area(a, b, xs[i]) for a, b in combinations(chosen, 2)]
+            if len(set(new)) == len(new) and seen.isdisjoint(new):
+                chosen.append(xs[i])
+                extend(i + 1, chosen, seen | set(new))
+                chosen.pop()
+
+    extend(0, [], set())
+    return tuple(best)

@@ -5,17 +5,21 @@ print.  Each test evaluates its criterion in full, prints the verdict, then
 asserts, so a failing criterion still reports itself.
 """
 
-import json
 import math
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
 from statistics import median
 
 import pytest
 
-from helpers import brute_force_max_petals, random_colouring, simplex_squared_volume
+from helpers import (
+    brute_force_max_petals,
+    parabola_max_rainbow,
+    parabola_squared_areas,
+    random_colouring,
+    simplex_squared_volume,
+)
 from rainbowsets import cli
 from rainbowsets.algebra import (
     IntegerInstance,
@@ -42,7 +46,12 @@ from rainbowsets.geometry import (
     similarity_colouring,
     volume_colouring,
 )
-from rainbowsets.hypergraph import GroundSet, max_monochromatic_sunflower, validate_lambda
+from rainbowsets.hypergraph import (
+    GroundSet,
+    colour_classes,
+    max_monochromatic_sunflower,
+    validate_lambda,
+)
 from rainbowsets.keys import canonical_key
 
 
@@ -315,6 +324,42 @@ def test_spiral_conflicts_separate_greedy_from_optimum():
     if sizes != expected:
         problems.append(f"sizes {sizes}")
     report("spiral-conflicts", not problems, f"problems: {problems}")
+    assert not problems
+
+
+def test_parabola_volume_conflicts_match_independent_search():
+    # the points (x, x^2) for x = 1..n: no three on a line, and four lie on a
+    # circle only if their x sum to 0, so the full validation passes; many
+    # triangles share an area, (b-a)(c-a)(c-b) being a product of gaps
+    found = {}
+    problems = []
+    for n in (10, 12, 14):
+        xs = range(1, n + 1)
+        inst = PointInstance(dim=2, points=tuple(as_point((x, x * x)) for x in xs)).validate()
+        ground = GroundSet(n)
+        colouring = volume_colouring(inst)
+        classes = colour_classes(colouring, ground)
+        ok, rep = validate_lambda(colouring, ground)
+        greedy = greedy_rainbow(colouring, ground)
+        exact = exact_max_rainbow(colouring, ground)
+        best = parabola_max_rainbow(xs)
+        if len(classes) != len(parabola_squared_areas(xs)):
+            problems.append(f"n={n}: {len(classes)} classes")
+        if not (ok and rep.petals == colouring.spec.max_petals == 4):
+            problems.append(f"n={n}: {rep.petals} petals against {colouring.spec.max_petals}")
+        if not (greedy.verified and exact.verified):
+            problems.append(f"n={n}: unverified result")
+        if exact.size != len(best):
+            problems.append(f"n={n}: oracle {exact.size}, independent search {len(best)}")
+        found[n] = len(classes), greedy.size, exact.size, best
+    expected = {
+        10: (19, 5, 5, (1, 2, 3, 5, 9)),
+        12: (29, 5, 5, (1, 2, 3, 5, 9)),
+        14: (40, 6, 6, (1, 2, 3, 5, 9, 14)),
+    }
+    if found != expected:
+        problems.append(f"found {found}")
+    report("parabola-conflicts", not problems, f"problems: {problems}")
     assert not problems
 
 

@@ -273,6 +273,16 @@ def test_bench_single_grid_point_usage_error(tmp_path):
     assert code == 2
 
 
+def test_bench_unknown_algorithm_exit2(tmp_path, capsys):
+    # names are checked against find's --algorithm choices before any trial runs
+    out = tmp_path / "b.csv"
+    code = run("bench", "--colouring", "sidon", "--grid", "30,60,90,120",
+               "--algorithms", "greedy,annealing", "--out", str(out))
+    assert code == 2
+    assert "unknown algorithm 'annealing'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_threshold_fail_exit2(tmp_path):
     code = run("bench", "--colouring", "sidon", "--grid", "30,60,90,120",
                "--trials", "3", "--seed", "4", "--out", str(tmp_path / "b.csv"),

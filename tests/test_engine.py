@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +27,13 @@ from rainbowsets.engine import (
     verify_rainbow,
 )
 from rainbowsets.errors import BudgetError, ParameterError
-from rainbowsets.hypergraph import Colouring, ColouringSpec, GroundSet, colour_classes
+from rainbowsets.hypergraph import (
+    Colouring,
+    ColouringSpec,
+    GroundSet,
+    build_conflict_hypergraph,
+    colour_classes,
+)
 
 
 def sidon_instance(n):
@@ -251,6 +258,20 @@ def test_sample_budget_refused_before_any_colour():
     assert len(calls) >= 1770
 
 
+def test_sample_kept_pairs_refused_by_the_shared_builder():
+    # every vertex is kept, so the C(60, 2) = 1770 colour evaluations fit the
+    # budget but the kept set's conflict pairs do not; the refusal is the
+    # conflict-hypergraph builder's, worded as it is for the oracle
+    c, g = sidon_instance(60)
+    message = "index layer: conflict pair enumeration needs 34220 pairs; budget is 2000"
+    with pytest.raises(BudgetError) as caught:
+        sample_and_delete(c, g, SamplePlan(p=1.0, seed=0), budget=2000)
+    assert str(caught.value) == message
+    with pytest.raises(BudgetError) as caught:
+        build_conflict_hypergraph(c, g, budget=2000)
+    assert str(caught.value) == message
+
+
 def test_sample_float_colours_raise_type_error():
     # classes are keyed by canonical_key, which has no float encoding
     c = Colouring(ColouringSpec(2, 1, 1), lambda e: e[0] / 2, "halves")
@@ -343,17 +364,15 @@ def counting_colouring(colouring):
 
 
 def test_exact_colours_each_edge_once():
-    # one colour pass for the classes, then the greedy seed and the final
-    # check; the search itself reads class indices and colours nothing
+    # one colour pass for the classes and the final check; the greedy seed
+    # and the search read class indices and colour nothing
     g = GroundSet(9)
     c, calls = counting_colouring(random_colouring(3, k=3, h=2, palette=6))
-    greedy_rainbow(c, g)
-    greedy_calls = len(calls)
-    calls.clear()
     result = exact_max_rainbow(c, g)
     assert result.verified
-    expected = math.comb(9, 3) + greedy_calls + math.comb(result.size, 3)
-    assert len(calls) == expected == 104
+    assert calls[:math.comb(9, 3)] == list(combinations(range(9), 3))
+    expected = math.comb(9, 3) + math.comb(result.size, 3)
+    assert len(calls) == expected == 88
 
 
 @pytest.mark.parametrize("n,optimum", [(25, 6), (26, 7), (34, 7), (35, 8)])

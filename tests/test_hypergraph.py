@@ -1,4 +1,5 @@
 import math
+from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations
 
@@ -128,6 +129,38 @@ def test_canonical_key_rejects_booleans():
     for value in (True, False, (1, True), ((False,),)):
         with pytest.raises(TypeError):
             canonical_key(value)
+
+
+class Tagged(int):
+    """An int that prints as a word."""
+
+    def __str__(self):
+        return "tag"
+
+
+class Size(IntEnum):
+    THREE = 3
+
+
+class Ratio(Fraction):
+    """A Fraction subclass that adds nothing."""
+
+
+@pytest.mark.parametrize("value, plain, key", [
+    (Size.THREE, 3, b"3"),
+    (Tagged(3), 3, b"3"),
+    (Ratio(3, 4), Fraction(3, 4), b"3/4"),
+    (Ratio(6, 2), 3, b"3"),
+], ids=["intenum", "int-subclass", "fraction-subclass", "fraction-subclass-integral"])
+def test_number_subclasses_key_by_value(value, plain, key):
+    # a number is keyed by its value, not by what its str says, so it joins
+    # the class of the equal plain number
+    assert value == plain
+    assert canonical_key(value) == canonical_key(plain) == key
+    c = Colouring(ColouringSpec(2, 1, 1), lambda e: value if e == (1, 3) else plain, "subclass")
+    assert colour_classes(c, GroundSet(4)) == {key: list(combinations(range(4), 2))}
+    with pytest.raises(TypeError):
+        canonical_key(True)
 
 
 # one odd colour among small ints: any exact value, or one that must raise
