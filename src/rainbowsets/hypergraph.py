@@ -10,9 +10,8 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, repeat, tee
-from operator import is_
-from typing import Callable, Iterator
+from itertools import chain, combinations, islice, repeat
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ParameterError, require_budget
 from .keys import canonical_key
@@ -20,6 +19,8 @@ from .keys import canonical_key
 # Exhaustive operations refuse to touch more k-subsets than this unless the
 # caller raises the budget explicitly; they fail loudly rather than sample.
 DEFAULT_BUDGET = 5_000_000
+
+_CHUNK = 4096  # colour_class_sizes checks the types of this many colours at a time
 
 
 @dataclass(frozen=True)
@@ -64,12 +65,21 @@ class Colouring:
 
     The evaluator receives the subset as a sorted tuple of vertex ids and
     returns an exact hashable value (int, Fraction, tuple, ...);
-    ``keys.canonical_key`` serializes it.
+    ``keys.canonical_key`` serializes it.  ``rows``, if given, colours a
+    whole ascending vertex list at once, as ``colours`` does, with the
+    evaluator's values.
     """
 
     spec: ColouringSpec
     evaluator: Callable[[tuple[int, ...]], object]
     label: str
+    rows: Callable[[Sequence[int]], Iterable] | None = None
+
+    def colours(self, vertices: Sequence[int]) -> Iterable:
+        """The colours of the k-subsets of ascending ``vertices``, in ``combinations`` order."""
+        if self.rows is not None:
+            return self.rows(vertices)
+        return map(self.evaluator, combinations(vertices, self.spec.k))
 
 
 @dataclass(frozen=True)
@@ -122,14 +132,14 @@ class ConflictHypergraph:
         return ConflictHypergraph(self.ground, tuple(edges for edges in classes if len(edges) > 1))
 
 
-def _edges_within_budget(colouring: Colouring, ground: GroundSet, vertices, budget: int,
-                         what: str) -> Iterator[tuple[int, ...]]:
-    """The k-subsets of ``vertices``, after checking their colour evaluations against the budget."""
+def _colours_within_budget(colouring: Colouring, ground: GroundSet, vertices, budget: int,
+                           what: str) -> Iterator:
+    """The colours of the k-subsets of ``vertices``, once their count fits the budget."""
     k = colouring.spec.k
     if k > ground.n:
         raise ParameterError(f"k={k} exceeds ground set size {ground.n}")
     require_budget(math.comb(len(vertices), k), budget, "colour", what, "colour evaluations")
-    return combinations(vertices, k)
+    return iter(colouring.colours(vertices))
 
 
 def colour_classes(
@@ -142,11 +152,10 @@ def colour_classes(
     """
     if vertices is None:
         vertices = ground.vertices
-    edges = _edges_within_budget(colouring, ground, vertices, budget, "colour_classes")
+    colours = _colours_within_budget(colouring, ground, vertices, budget, "colour_classes")
     classes: dict[bytes, list[tuple[int, ...]]] = defaultdict(list)
-    ev = colouring.evaluator
-    for e in edges:
-        classes[canonical_key(ev(e))].append(e)
+    for key, e in zip(map(canonical_key, colours), combinations(vertices, colouring.spec.k)):
+        classes[key].append(e)
     return dict(classes)
 
 
@@ -155,24 +164,23 @@ def colour_class_sizes(
 ) -> Counter:
     """Size of every colour class of the ground set, keyed by colour key; no edge is stored.
 
-    Integer colours are counted by value: if the first colour is an exact
-    ``int``, the exact ``int`` colours are counted at C speed, and when they
-    are all C(N, k) colours, each distinct value is keyed once.  Otherwise
-    every colour is evaluated (again) and keyed, so a float or a bool raises
-    wherever it appears.
+    Integer colours are counted by value.  The colours are read in chunks,
+    and a chunk of exact ``int``s only is counted at C speed; each distinct
+    value is keyed once at the end.  From the first chunk holding anything
+    else, every colour is keyed, so a float or a bool raises wherever it
+    appears, and no colour is evaluated twice.
     """
-    vertices, k = ground.vertices, colouring.spec.k
-    edges = _edges_within_budget(colouring, ground, vertices, budget, "colour_class_sizes")
-    values = map(colouring.evaluator, edges)
-    first = next(values)
-    values = chain((first,), values)
-    if type(first) is int:
-        data, kinds = tee(values)
-        counts = Counter(compress(data, map(is_, map(type, kinds), repeat(int))))
-        if counts.total() == math.comb(len(vertices), k):
-            return Counter({canonical_key(value): size for value, size in counts.items()})
-        values = map(colouring.evaluator, combinations(vertices, k))
-    return Counter(map(canonical_key, values))
+    colours = _colours_within_budget(colouring, ground, ground.vertices, budget,
+                                     "colour_class_sizes")
+    by_value, sizes = Counter(), Counter()
+    while chunk := list(islice(colours, _CHUNK)):
+        if set(map(type, chunk)) != {int}:
+            sizes = Counter(map(canonical_key, chain(chunk, colours)))
+            break
+        by_value.update(chunk)
+    for value, size in by_value.items():
+        sizes[canonical_key(value)] += size
+    return sizes
 
 
 def max_monochromatic_sunflower(
@@ -180,11 +188,13 @@ def max_monochromatic_sunflower(
 ) -> SunflowerReport:
     """Find the (core, colour) pair collecting the most same-coloured k-edges.
 
-    Every k-edge of every colour class is bucketed under each of its h-element
-    subsets; the report is the fullest bucket.  For h = 0 the core is empty and
-    the petal count is the size of the largest colour class.  Deterministic:
-    colour classes are scanned in key order and cores in sorted order, and only
-    a strictly fuller bucket replaces the incumbent.
+    The h-element subsets of each colour class's k-edges are counted; the
+    report is the most frequent (core, colour) pair, with the class's edges
+    through that core, in class order, as witnesses.  For h = 0 the core is
+    empty and the petal count is the size of the largest colour class.
+    Deterministic: colour classes are scanned in key order, and a class
+    replaces the incumbent only with strictly more petals, at its smallest
+    core with that many.
     """
     k = colouring.spec.k
     if not 0 <= h < k:
@@ -194,16 +204,15 @@ def max_monochromatic_sunflower(
     classes = colour_classes(colouring, ground, budget=budget)
     best: SunflowerReport | None = None
     for key in sorted(classes):
-        buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = defaultdict(list)
-        for e in classes[key]:
-            for core in combinations(e, h):
-                buckets[core].append(e)
-        for core in sorted(buckets):
-            petals = len(buckets[core])
-            if best is None or petals > best.petals:
-                best = SunflowerReport(
-                    core=core, colour=key, petals=petals, witness_edges=tuple(buckets[core])
-                )
+        edges = classes[key]
+        if best is not None and len(edges) <= best.petals:
+            continue
+        cores = Counter(chain.from_iterable(map(combinations, edges, repeat(h))))
+        petals = max(cores.values())
+        if best is None or petals > best.petals:
+            core = min(c for c, count in cores.items() if count == petals)
+            witnesses = tuple(e for e in edges if core in combinations(e, h))
+            best = SunflowerReport(core=core, colour=key, petals=petals, witness_edges=witnesses)
     assert best is not None
     return best
 

@@ -57,6 +57,29 @@ def brute_force_max_petals(colouring: Colouring, n: int, h: int) -> int:
     return best
 
 
+def brute_force_sunflower(colouring: Colouring, n: int, h: int) -> tuple:
+    """Independent worst-sunflower report (core, colour key, petals, witnesses) for int colours.
+
+    Each int colour is keyed as its decimal text.  Every (key, core) pair is
+    scanned in sorted order, its bucket gathered from the edges in
+    combinations order, and the first bucket strictly fuller than the best so
+    far is kept.
+    """
+    edges = list(combinations(range(n), colouring.spec.k))
+    key_of = {}
+    for e in edges:
+        value = colouring.evaluator(e)
+        assert type(value) is int
+        key_of[e] = str(value).encode("ascii")
+    best = None
+    for key in sorted(set(key_of.values())):
+        for core in combinations(range(n), h):
+            bucket = tuple(e for e in edges if key_of[e] == key and set(core) <= set(e))
+            if bucket and (best is None or len(bucket) > best[2]):
+                best = (core, key, len(bucket), bucket)
+    return best
+
+
 def keyed_class_sizes(colouring: Colouring, n: int) -> Counter:
     """Size of every colour class of range(n), keying every colour value one at a time."""
     sizes: Counter = Counter()

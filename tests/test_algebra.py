@@ -1,3 +1,4 @@
+from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations
 
@@ -256,6 +257,37 @@ def test_sidon_colour_values():
     c = sidon_colouring(inst)
     assert c.evaluator((0, 1)) == 7
     assert canonical_key(c.evaluator((0, 1))) == b"7"
+
+
+class Mark(IntEnum):
+    SEVEN = 7
+    HUGE = 2**65 + 3
+
+
+@st.composite
+def values_and_vertices(draw):
+    """Strictly increasing values, some past 2**64 or IntEnum members, and ascending ids."""
+    values = sorted(draw(st.lists(st.integers(1, 2**70) | st.sampled_from(Mark), min_size=1,
+                                  max_size=30, unique=True)))
+    vertices = draw(st.lists(st.integers(0, len(values) - 1), max_size=15, unique=True))
+    return values, sorted(vertices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=values_and_vertices())
+@example(case=([1, Mark.SEVEN, 2**64 + 1], [0, 1, 2]))
+def test_colours_match_the_evaluator(case):
+    # the whole-set entry point gives the evaluator's colours, equal in value
+    # and type, in combinations order: the Sidon row form, and the default
+    # path of a colouring that has none
+    values, vertices = case
+    poly = poly_colouring(poly_prepare(SymPoly("Q", X_PLUS_Y), values))
+    assert poly.rows is None
+    for c in (sidon_colouring(IntegerInstance(values=tuple(values))), poly):
+        got = list(c.colours(vertices))
+        want = [c.evaluator(e) for e in combinations(vertices, 2)]
+        assert got == want
+        assert list(map(type, got)) == list(map(type, want))
 
 
 def test_sidon_lambda_on_range_50():

@@ -201,6 +201,30 @@ def test_find_csv_format(tmp_path):
     assert lines[0] == "size,algorithm,seed,verified,subset"
 
 
+def test_options_do_not_leak_between_calls(tmp_path):
+    # main parses every call with one parser per process; the options of one
+    # call must not reach the next
+    inst = tmp_path / "ints.json"
+    run("generate", "integers-range", "--n", "40", "--out", str(inst))
+    find = ["find", "--instance", str(inst), "--colouring", "sidon",
+            "--algorithm", "sample-delete", "--seed", "3"]
+    first, tweaked, second = (tmp_path / name for name in ("first.json", "p1.csv", "second.json"))
+    assert run(*find, "--out", str(first)) == 0
+    assert run(*find, "--p", "1.0", "--format", "csv", "--out", str(tweaked)) == 0
+    assert run(*find, "--out", str(second)) == 0
+    assert tweaked.read_text().startswith("size,algorithm,seed,verified,subset\n")
+    assert second.read_bytes() == first.read_bytes()
+
+    def manifest(out):
+        obj = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert obj.pop("out") == str(out)
+        return obj
+
+    assert manifest(tweaked)["p"] == 1.0
+    assert manifest(second) == manifest(first)
+    assert manifest(first)["p"] is None and manifest(first)["format"] == "json"
+
+
 def test_oracle_alias(tmp_path):
     inst = tmp_path / "ints.json"
     run("generate", "integers-range", "--n", "6", "--out", str(inst))

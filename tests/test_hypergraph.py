@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from helpers import (
     all_subsets,
-    brute_force_max_petals,
     brute_force_pair_degrees,
+    brute_force_sunflower,
     constant_colouring,
     injective_colouring,
     keyed_class_sizes,
@@ -20,6 +20,7 @@ from rainbowsets.algebra import IntegerInstance, sidon_colouring
 from rainbowsets.engine import verify_rainbow
 from rainbowsets.errors import BudgetError, ParameterError
 from rainbowsets.hypergraph import (
+    _CHUNK,
     Colouring,
     ColouringSpec,
     GroundSet,
@@ -174,9 +175,15 @@ ODD_COLOURS = (COLOUR_VALUES | st.floats() | st.booleans()
 @example(seed=0, k=2, n=5, palette=4, odd=Fraction(3), at=9)
 @example(seed=0, k=2, n=5, palette=4, odd="3", at=0)
 @example(seed=0, k=2, n=5, palette=4, odd=2**70, at=3)
+@example(seed=0, k=2, n=100, palette=4, odd=3.0, at=4949)
+@example(seed=0, k=2, n=100, palette=4, odd=True, at=4949)
+@example(seed=0, k=2, n=100, palette=4, odd=Fraction(3), at=4949)
+@example(seed=0, k=2, n=100, palette=4, odd=(3, (3.0,)), at=4949)
 def test_class_sizes_match_keyed_count(seed, k, n, palette, odd, at):
-    # integer colours are counted by value; the odd value at any edge, the
-    # first included, must still be keyed (or refused) like every other
+    # integer colours are counted by value, a chunk at a time; the odd value
+    # at any edge, the first included and the last of C(100, 2) = 4950 (past
+    # the first chunk), must still be keyed (or refused) like every other
+    assert math.comb(100, 2) > _CHUNK
     edges = list(combinations(range(n), k))
     odd_edge = edges[at % len(edges)]
     base = random_colouring(seed, k, 0, palette)
@@ -257,7 +264,8 @@ def test_sunflower_matches_brute_force(k, h, n):
     for seed in range(8):
         c = random_colouring(seed, k=k, h=h, palette=3)
         report = max_monochromatic_sunflower(c, GroundSet(n), h)
-        assert report.petals == brute_force_max_petals(c, n, h)
+        assert ((report.core, report.colour, report.petals, report.witness_edges)
+                == brute_force_sunflower(c, n, h))
 
 
 def test_sunflower_parameter_errors():
