@@ -239,12 +239,6 @@ def integers_from_obj(obj: dict) -> IntegerInstance:
     return IntegerInstance(values=tuple(int(require_exact(v)) for v in obj["values"]))
 
 
-def sympoly_to_obj(poly: SymPoly) -> dict:
-    field = "Q" if poly.field == RATIONALS else {"GF": poly.field}
-    coeffs = [[i, j, str(c)] for (i, j), c in poly.coeffs.items()]
-    return {"type": "sympoly", "field": field, "degree": poly.degree, "coeffs": coeffs}
-
-
 def sympoly_from_obj(obj: dict) -> SymPoly:
     if obj.get("type") != "sympoly":
         raise ParameterError(f"expected a sympoly, got type={obj.get('type')!r}")

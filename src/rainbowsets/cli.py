@@ -65,16 +65,8 @@ def _load_poly(path: str | None) -> algebra.SymPoly:
     return _read_file(path, algebra.sympoly_from_obj)
 
 
-class _Setup:
-    """A colouring bound to its instance plus the id -> domain-value report map."""
-
-    def __init__(self, colouring, ground, describe):
-        self.colouring = colouring
-        self.ground = ground
-        self.describe = describe  # vertex id -> JSON-ready domain value
-
-
-def _setup_colouring(instance, name: str, poly_path: str | None, budget: int) -> _Setup:
+def _setup_colouring(instance, name: str, poly_path: str | None, budget: int):
+    """The named colouring of ``instance`` and each vertex's label, as the instance file writes it."""
     if name in POINT_COLOURINGS:
         if not isinstance(instance, geometry.PointInstance):
             raise ParameterError(f"colouring {name} needs a points instance")
@@ -84,33 +76,16 @@ def _setup_colouring(instance, name: str, poly_path: str | None, budget: int) ->
             "volume": geometry.volume_colouring,
             "similarity": geometry.similarity_colouring,
         }[name]
-        colouring = factory(validated)
-        points = validated.points
+        return factory(validated), geometry.points_to_obj(validated)["coords"]
 
-        def describe(v: int):
-            return [[str(c.numerator), str(c.denominator)] for c in points[v]]
-
-        return _Setup(colouring, GroundSet(len(points)), describe)
-
+    if not isinstance(instance, algebra.IntegerInstance):
+        raise ParameterError(f"the {name} colouring needs an integers instance")
     if name == "sidon":
-        if not isinstance(instance, algebra.IntegerInstance):
-            raise ParameterError("the sidon colouring needs an integers instance")
-        colouring = algebra.sidon_colouring(instance)
-        values = instance.values
-        return _Setup(colouring, GroundSet(len(values)), lambda v: str(values[v]))
-
-    if name == "poly":
-        if not isinstance(instance, algebra.IntegerInstance):
-            raise ParameterError("the poly colouring needs an integers instance")
-        poly = _load_poly(poly_path)
-        prepared = algebra.poly_prepare(poly, instance.values)
-        if not prepared.kept:
-            raise ValidationError("no usable values left after polynomial preparation")
-        colouring = algebra.poly_colouring(prepared)
-        values = prepared.kept
-        return _Setup(colouring, GroundSet(len(values)), lambda v: str(values[v]))
-
-    raise ParameterError(f"unknown colouring {name!r}")
+        return algebra.sidon_colouring(instance), algebra.integers_to_obj(instance)["values"]
+    prepared = algebra.poly_prepare(_load_poly(poly_path), instance.values)
+    if not prepared.kept:
+        raise ValidationError("no usable values left after polynomial preparation")
+    return algebra.poly_colouring(prepared), [str(v) for v in prepared.kept]
 
 
 def _cmd_generate(args) -> int:
@@ -143,9 +118,9 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _result_obj(result: engine.RainbowResult, setup: _Setup) -> dict:
+def _result_obj(result: engine.RainbowResult, labels: list) -> dict:
     return {
-        "subset": [setup.describe(v) for v in result.subset],
+        "subset": [labels[v] for v in result.subset],
         "size": result.size,
         "algorithm": result.algorithm,
         "seed": result.seed,
@@ -154,12 +129,12 @@ def _result_obj(result: engine.RainbowResult, setup: _Setup) -> dict:
     }
 
 
-def _result_csv(result: engine.RainbowResult, setup: _Setup) -> str:
+def _result_csv(result: engine.RainbowResult, labels: list) -> str:
     flat = []
     for v in result.subset:
-        desc = setup.describe(v)
-        flat.append("(" + " ".join(f"{n}/{d}" for n, d in desc) + ")"
-                    if isinstance(desc, list) else desc)
+        label = labels[v]
+        flat.append("(" + " ".join(f"{n}/{d}" for n, d in label) + ")"
+                    if isinstance(label, list) else label)
     rows = ["size,algorithm,seed,verified,subset"]
     seed = "" if result.seed is None else result.seed
     rows.append(f"{result.size},{result.algorithm},{seed},{result.verified},"
@@ -169,14 +144,14 @@ def _result_csv(result: engine.RainbowResult, setup: _Setup) -> str:
 
 def _cmd_find(args, forced_algorithm: str | None = None) -> int:
     instance = _load_instance(args.instance)
-    setup = _setup_colouring(instance, args.colouring, args.poly, args.budget)
+    colouring, labels = _setup_colouring(instance, args.colouring, args.poly, args.budget)
     algorithm = (forced_algorithm or args.algorithm).replace("-", "_")
     result = engine.run_algorithm(
-        setup.colouring, setup.ground, algorithm, args.seed,
+        colouring, GroundSet(len(labels)), algorithm, args.seed,
         shrink=args.shrink, p=args.p, limit=args.limit, budget=args.budget,
     )
-    text = (_result_csv(result, setup) if args.format == "csv"
-            else _dump_json(_result_obj(result, setup)))
+    text = (_result_csv(result, labels) if args.format == "csv"
+            else _dump_json(_result_obj(result, labels)))
     if args.out:
         _write(args.out, text)
         _write_manifest(args.out, {
@@ -198,15 +173,15 @@ def _cmd_find(args, forced_algorithm: str | None = None) -> int:
 
 def _cmd_audit(args) -> int:
     instance = _load_instance(args.instance)
-    setup = _setup_colouring(instance, args.colouring, args.poly, args.budget)
-    ok, report = validate_lambda(setup.colouring, setup.ground, budget=args.budget)
+    colouring, labels = _setup_colouring(instance, args.colouring, args.poly, args.budget)
+    ok, report = validate_lambda(colouring, GroundSet(len(labels)), budget=args.budget)
     obj = {
-        "colouring": setup.colouring.label,
-        "declared_max_petals": setup.colouring.spec.max_petals,
+        "colouring": colouring.label,
+        "declared_max_petals": colouring.spec.max_petals,
         "petals": report.petals,
-        "core": [setup.describe(v) for v in report.core],
+        "core": [labels[v] for v in report.core],
         "colour": report.colour.decode("ascii", errors="backslashreplace"),
-        "witnesses": [[setup.describe(v) for v in e] for e in report.witness_edges],
+        "witnesses": [[labels[v] for v in e] for e in report.witness_edges],
         "pass": ok,
     }
     if args.out:
@@ -218,7 +193,7 @@ def _cmd_audit(args) -> int:
     return 0 if ok else 2
 
 
-def _bench_instance(name: str, n: int, args, instance_seed: int) -> _Setup:
+def _bench_instance(name: str, n: int, args, instance_seed: int):
     if name in POINT_COLOURINGS:
         inst = geometry.generate_general_position(n, args.d, instance_seed)
         return _setup_colouring(inst, name, None, args.budget)
@@ -227,10 +202,15 @@ def _bench_instance(name: str, n: int, args, instance_seed: int) -> _Setup:
 
 
 def _cmd_bench(args) -> int:
-    grid = sorted({int(part) for part in args.grid.split(",") if part})
+    try:
+        grid = sorted({int(part) for part in args.grid.split(",") if part})
+    except ValueError as exc:  # int() names the entry it could not read
+        raise ParameterError(f"--grid takes integers: {exc}") from None
     if len(grid) < 4:
         raise ParameterError(f"need at least 4 grid points for the exponent fit, got {len(grid)}")
     algorithms = [a.replace("-", "_") for a in args.algorithms.split(",") if a]
+    if not algorithms:
+        raise ParameterError(f"--algorithms {args.algorithms!r} names no algorithm")
     for a in algorithms:
         if a.replace("_", "-") not in ALGORITHMS:
             raise ParameterError(f"unknown algorithm {a!r}")
@@ -240,8 +220,9 @@ def _cmd_bench(args) -> int:
     records: list[engine.BenchRecord] = []
     spec = None
     for index, n in enumerate(grid):
-        setup = _bench_instance(args.colouring, n, args, engine.derive_seed(args.seed, 1_000_000 + index))
-        spec = setup.colouring.spec
+        colouring, labels = _bench_instance(args.colouring, n, args,
+                                            engine.derive_seed(args.seed, 1_000_000 + index))
+        spec = colouring.spec
         for algorithm in algorithms:
             def log_trial(record: engine.BenchRecord) -> None:
                 print(f"N={record.n} algorithm={record.algorithm} trial={record.trial} "
@@ -249,7 +230,7 @@ def _cmd_bench(args) -> int:
                       file=sys.stderr)
 
             records.extend(engine.bench_trials(
-                setup.colouring, setup.ground, algorithm, args.trials, args.seed,
+                colouring, GroundSet(len(labels)), algorithm, args.trials, args.seed,
                 budget=args.budget, on_trial=log_trial,
             ))
 
@@ -314,10 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--colouring", required=True,
                        choices=POINT_COLOURINGS + INTEGER_COLOURINGS)
         p.add_argument("--poly", default=None, help="sympoly JSON for the poly colouring")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         p.add_argument("--out", default=None)
         if with_algorithm:
+            p.add_argument("--seed", type=int, default=0)
             p.add_argument("--shrink", type=float, default=0.5)
             p.add_argument("--p", type=float, default=None)
             p.add_argument("--limit", type=int, default=None,

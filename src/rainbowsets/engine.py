@@ -131,7 +131,6 @@ class ExponentFit:
     slope: float
     stderr: float
     intercept: float
-    n_points: int
 
 
 def verify_rainbow(colouring: Colouring, subset, budget: int = DEFAULT_BUDGET) -> bool:
@@ -148,34 +147,22 @@ def verify_rainbow(colouring: Colouring, subset, budget: int = DEFAULT_BUDGET) -
     return len(set(colouring.colours(s))) == edges
 
 
-def _resolve_order(ground: GroundSet, order) -> tuple[list[int], int | None]:
-    if order is None:
-        return list(ground.vertices), None
-    if isinstance(order, int):
-        rng = random.Random(order)
-        seq = list(ground.vertices)
-        rng.shuffle(seq)
-        return seq, order
-    seq = list(order)
-    if sorted(seq) != list(ground.vertices):
-        raise ParameterError("order must be a permutation of the vertex ids")
-    return seq, None
-
-
-def greedy_rainbow(colouring: Colouring, ground: GroundSet, order=None,
+def greedy_rainbow(colouring: Colouring, ground: GroundSet, order: int | None = None,
                    budget: int = DEFAULT_BUDGET) -> RainbowResult:
     """Scan vertices in order, adding each one whose new edges keep the subset rainbow.
 
-    ``order`` is None for natural id order, an int seed for a shuffled order,
-    or an explicit permutation.  A vertex is added iff every k-edge it forms
-    with already-chosen vertices has a colour unused so far and the new
-    colours are pairwise distinct; the result is maximal for the order, since
-    a rejected vertex only accumulates more constraints later.
+    ``order`` is None for natural id order, or an int seed for an order
+    shuffled by ``random.Random(order)``.  A vertex is added iff every k-edge
+    it forms with already-chosen vertices has a colour unused so far and the
+    new colours are pairwise distinct; the result is maximal for the order,
+    since a rejected vertex only accumulates more constraints later.
     """
     n, k = ground.n, colouring.spec.k
     if k > n:
         raise ParameterError(f"k={k} exceeds ground set size {n}")
-    seq, seed = _resolve_order(ground, order)
+    seq = list(ground.vertices)
+    if order is not None:
+        random.Random(order).shuffle(seq)
     t0 = time.perf_counter()
     ev = colouring.evaluator
     chosen: list[int] = []
@@ -208,7 +195,7 @@ def greedy_rainbow(colouring: Colouring, ground: GroundSet, order=None,
     verified = verify_rainbow(colouring, subset, budget=budget)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
     stats = {"vertices_scanned": n, "vertices_rejected": n - len(chosen)}
-    return RainbowResult(subset, "greedy", seed, verified, stats, runtime_ms)
+    return RainbowResult(subset, "greedy", order, verified, stats, runtime_ms)
 
 
 def sample_and_delete(colouring: Colouring, ground: GroundSet, plan: SamplePlan,
@@ -275,8 +262,6 @@ def exact_max_rainbow(colouring: Colouring, ground: GroundSet, limit: int | None
     that cannot strictly beat the incumbent are pruned.  Deterministic.
     """
     n, k = ground.n, colouring.spec.k
-    if k > n:
-        raise ParameterError(f"k={k} exceeds ground set size {n}")
     cap = limit if limit is not None else DEFAULT_ORACLE_LIMITS.get(k, DEFAULT_ORACLE_FALLBACK_LIMIT)
     require_budget(n, cap, "search", f"the exact oracle for k={k}", "vertices")
     t0 = time.perf_counter()
@@ -352,7 +337,7 @@ def estimate_exponent(records: list[BenchRecord]) -> ExponentFit:
     residuals = [y - (intercept + slope * x) for x, y in zip(xs, ys)]
     dof = len(xs) - 2
     stderr = math.sqrt(sum(r * r for r in residuals) / dof / sxx)
-    return ExponentFit(slope=slope, stderr=stderr, intercept=intercept, n_points=len(xs))
+    return ExponentFit(slope=slope, stderr=stderr, intercept=intercept)
 
 
 def run_algorithm(colouring: Colouring, ground: GroundSet, algorithm: str, seed: int,

@@ -184,21 +184,20 @@ def colour_class_sizes(
 
 
 def max_monochromatic_sunflower(
-    colouring: Colouring, ground: GroundSet, h: int, budget: int = DEFAULT_BUDGET
+    colouring: Colouring, ground: GroundSet, budget: int = DEFAULT_BUDGET
 ) -> SunflowerReport:
     """Find the (core, colour) pair collecting the most same-coloured k-edges.
 
-    The h-element subsets of each colour class's k-edges are counted; the
-    report is the most frequent (core, colour) pair, with the class's edges
-    through that core, in class order, as witnesses.  For h = 0 the core is
-    empty and the petal count is the size of the largest colour class.
+    The h-element subsets of each colour class's k-edges are counted, h
+    being the spec's core size; the report is the most frequent (core,
+    colour) pair, with the class's edges through that core, in class order,
+    as witnesses.  For h = 0 the core is empty and the petal count is the
+    size of the largest colour class.
     Deterministic: colour classes are scanned in key order, and a class
     replaces the incumbent only with strictly more petals, at its smallest
     core with that many.
     """
-    k = colouring.spec.k
-    if not 0 <= h < k:
-        raise ParameterError(f"core size must satisfy 0 <= h < k, got h={h}")
+    k, h = colouring.spec.k, colouring.spec.h
     require_budget(math.comb(ground.n, k) * math.comb(k, h), budget, "verify", "sunflower audit",
                    "(edge, core) incidences")
     classes = colour_classes(colouring, ground, budget=budget)
@@ -221,7 +220,7 @@ def validate_lambda(
     colouring: Colouring, ground: GroundSet, budget: int = DEFAULT_BUDGET
 ) -> tuple[bool, SunflowerReport]:
     """Audit the colouring's declared petal bound; the report is returned either way."""
-    report = max_monochromatic_sunflower(colouring, ground, colouring.spec.h, budget=budget)
+    report = max_monochromatic_sunflower(colouring, ground, budget=budget)
     return report.petals <= colouring.spec.max_petals, report
 
 

@@ -269,6 +269,20 @@ def simplex_squared_circumradius(points):
     return sum((c - Fraction(x)) ** 2 for c, x in zip(centre, points[0]))
 
 
+def spiral_coords(n: int) -> list[tuple[int, int]]:
+    """The powers z^0..z^(n-1) of the Gaussian integer z = 1 + 2i, as integer pairs.
+
+    Multiplying by z is a spiral similarity, (a, b) -> (a - 2b, 2a + b), so
+    triangles repeat their similarity class, and volumes and radii repeat
+    too: unlike random points, these carry real colour conflicts.
+    """
+    pts = [(1, 0)]
+    while len(pts) < n:
+        a, b = pts[-1]
+        pts.append((a - 2 * b, 2 * a + b))
+    return pts
+
+
 def parabola_squared_area(a, b, c):
     """Squared area of the triangle on (a, a^2), (b, b^2), (c, c^2): ((b-a)(c-a)(c-b))^2 / 4."""
     return Fraction(((b - a) * (c - a) * (c - b)) ** 2, 4)

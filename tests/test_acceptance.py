@@ -19,6 +19,7 @@ from helpers import (
     parabola_squared_areas,
     random_colouring,
     simplex_squared_volume,
+    spiral_coords,
 )
 from rainbowsets import cli
 from rainbowsets.algebra import (
@@ -188,7 +189,7 @@ def test_sunflower_audit_matches_brute_force():
         n = 6 + s % 5
         palette = 2 + s % 3
         colouring = random_colouring(s, k=k, h=h, palette=palette)
-        got = max_monochromatic_sunflower(colouring, GroundSet(n), h).petals
+        got = max_monochromatic_sunflower(colouring, GroundSet(n)).petals
         want = brute_force_max_petals(colouring, n, h)
         if got != want:
             mismatches += 1
@@ -277,17 +278,8 @@ def test_exact_geometry_values():
 
 
 def spiral_points(n: int) -> PointInstance:
-    """The powers z^0..z^(n-1) of the Gaussian integer z = 1 + 2i, as validated points.
-
-    Multiplying by z is a spiral similarity, (a, b) -> (a - 2b, 2a + b), so
-    triangles repeat their similarity class, and volumes and radii repeat
-    too: unlike random points, these carry real colour conflicts.
-    """
-    pts = [(1, 0)]
-    while len(pts) < n:
-        a, b = pts[-1]
-        pts.append((a - 2 * b, 2 * a + b))
-    return PointInstance(dim=2, points=tuple(as_point(p) for p in pts)).validate()
+    """``helpers.spiral_coords(n)`` as validated points."""
+    return PointInstance(dim=2, points=tuple(map(as_point, spiral_coords(n)))).validate()
 
 
 def test_spiral_conflicts_separate_greedy_from_optimum():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import is_sidon
+from helpers import is_sidon, spiral_coords
 import rainbowsets
 from rainbowsets import cli
 from rainbowsets.algebra import IntegerInstance, integers_to_obj
@@ -307,6 +307,21 @@ def test_bench_unknown_algorithm_exit2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid, algorithms, named", [
+    ("30,60,90,120", ",", "--algorithms ','"),
+    ("30,60,90,120", "", "--algorithms ''"),
+    ("10,x,30,40", "greedy", "'x'"),
+], ids=["comma-only-algorithms", "empty-algorithms", "non-integer-grid-entry"])
+def test_bench_malformed_list_exit2(tmp_path, capsys, grid, algorithms, named):
+    # an empty algorithm list would run no trial yet report PASS
+    out = tmp_path / "b.csv"
+    assert run("bench", "--colouring", "sidon", "--grid", grid, "--algorithms", algorithms,
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error:") and named in err
+    assert not out.exists()
+
+
 def test_bench_threshold_fail_exit2(tmp_path):
     code = run("bench", "--colouring", "sidon", "--grid", "30,60,90,120",
                "--trials", "3", "--seed", "4", "--out", str(tmp_path / "b.csv"),
@@ -330,6 +345,80 @@ def test_repeat_runs_byte_identical(tmp_path):
                    "--out", str(out)) == 0
         blobs.add(out.read_bytes())
     assert len(blobs) == 1
+
+
+PIN_INSTANCES = {
+    "generated-d2": ["generate", "points", "--n", "8", "--d", "2", "--seed", "0"],
+    "generated-d3": ["generate", "points", "--n", "8", "--d", "3", "--seed", "0"],
+    "spiral-d2": spiral_coords(8),
+    "moment-d3": [(t, t * t, t ** 3) for t in range(1, 9)],  # volumes repeat under t -> t + 1
+    "range14": ["generate", "integers-range", "--n", "14"],
+}
+# x^2 y + x y^2 - x - y over Q: the pivot polynomial y^2 - 1 drops the value 1
+PIN_POLY = {"type": "sympoly", "field": "Q", "degree": 3,
+            "coeffs": [[2, 1, "1"], [1, 2, "1"], [1, 0, "-1"], [0, 1, "-1"]]}
+# SHA-256 over the find json and csv files (greedy, sample-delete, exact; --seed 3)
+# and the audit file, in that order, each preceded by its name
+RESULT_PINS = {
+    ("generated-d2", "circumradius"):
+        "647cc33627547b8e1fddf4817b0d6a76bed57e5e8b254f0cbd5e47f29555deca",
+    ("generated-d2", "volume"):
+        "e02aa55f40c3d93ed296a7db5ef7635d4f5c6a813e76d280f8740fa9f67a32e5",
+    ("generated-d2", "similarity"):
+        "836a9eb29bc839aff3262bd19ba1584cfea3ed4c388998d6d775b4e654d44a0b",
+    ("generated-d3", "circumradius"):
+        "d62159299e1e3ecbb10fae49d6ad8b37e259aecf7e19150a763f588771122c23",
+    ("generated-d3", "volume"):
+        "b4f07719be9b6a4f3aae495763b8671a13261a36601c2a3bc76f9c1ad1cbdbfa",
+    ("generated-d3", "similarity"):
+        "8bdf3e04443210c0b6d96bfa7c866015c0de3384a79e580a833c152fdd456674",
+    ("spiral-d2", "circumradius"):
+        "cc6da5cf4dc247d7cb1af7c121e10f76d872f9d15026de2e89883ebb487f17d2",
+    ("spiral-d2", "volume"):
+        "bacb65c8879b47ccc7417ed61c4ac5864da1f40051d8d6acb33a88b30bbe9132",
+    ("spiral-d2", "similarity"):
+        "924afcd142e9bbe73f8cbf142f5f5c9b1f0b20a6720bff4d0a570a3205fd8dfe",
+    ("moment-d3", "circumradius"):
+        "43e4a1a90c07669859240165c558dd795402f9735d5db92ed4bf9c983779977b",
+    ("moment-d3", "volume"):
+        "0158080247e945815bbc3552af1c4f13ef4a9e773940e1c051c02f6aa0e3c9ad",
+    ("moment-d3", "similarity"):
+        "4bf87c2d030ba8f7bf5f7cdf74ea9d67382a2cb8fa316d200db0a69c9d43067e",
+    ("range14", "poly"):
+        "5ea68b5445de92362291840c3d20c3cecaf528dfae2302152049457a875a6b7a",
+}
+
+
+@pytest.mark.parametrize("instance, colouring", RESULT_PINS, ids="-".join)
+def test_result_files_are_pinned(tmp_path, instance, colouring):
+    # vertex labels, subsets, stats and audit witnesses stay byte-identical
+    inst = tmp_path / "inst.json"
+    recipe = PIN_INSTANCES[instance]
+    if isinstance(recipe[0], str):
+        assert run(*recipe, "--out", str(inst)) == 0
+    else:
+        points = PointInstance(dim=len(recipe[0]),
+                               points=tuple(tuple(map(Fraction, p)) for p in recipe))
+        inst.write_text(json.dumps(points_to_obj(points)) + "\n")
+    argv = ["--instance", str(inst), "--colouring", colouring]
+    if colouring == "poly":
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps(PIN_POLY) + "\n")
+        argv += ["--poly", str(poly)]
+    files = {}
+    for algorithm in ("greedy", "sample-delete", "exact"):
+        for fmt in ("json", "csv"):
+            out = tmp_path / f"{algorithm}.{fmt}"
+            assert run("find", *argv, "--algorithm", algorithm, "--seed", "3",
+                       "--format", fmt, "--out", str(out)) == 0
+            files[out.name] = out.read_bytes()
+    out = tmp_path / "audit.json"
+    assert run("audit", *argv, "--out", str(out)) == 0
+    files[out.name] = out.read_bytes()
+    digest = hashlib.sha256()
+    for name, data in files.items():
+        digest.update(name.encode() + b"\n" + data)
+    assert digest.hexdigest() == RESULT_PINS[instance, colouring], files
 
 
 def test_run_reproducible_from_manifest(tmp_path):

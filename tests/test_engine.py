@@ -88,12 +88,9 @@ def test_greedy_seeded_order_recorded_and_deterministic():
 
 def test_greedy_explicit_order():
     c, g = sidon_instance(6)
-    natural = greedy_rainbow(c, g, order=list(range(6)))
+    natural = greedy_rainbow(c, g, order=None)
     assert natural.subset == (0, 1, 3)
-    with pytest.raises(ParameterError):
-        greedy_rainbow(c, g, order=[0, 1, 2])
-    with pytest.raises(ParameterError):
-        greedy_rainbow(c, g, order=[0, 0, 1, 2, 3, 4])
+    assert natural.seed is None
 
 
 def test_greedy_maximality():
@@ -320,6 +317,15 @@ def test_exact_limit_and_override():
         exact_max_rainbow(c, g)
     result = exact_max_rainbow(c, g, limit=21)
     assert result.verified
+
+
+def test_exact_checks_its_cap_before_k_above_n():
+    # the oracle's ground-size cap comes first; k <= n is then colour_classes' check
+    c = injective_colouring(k=4)
+    with pytest.raises(ParameterError, match=r"^k=4 exceeds ground set size 3$"):
+        exact_max_rainbow(c, GroundSet(3))
+    with pytest.raises(BudgetError, match=r"^search layer: the exact oracle for k=4 needs 3 vertices"):
+        exact_max_rainbow(c, GroundSet(3), limit=2)
 
 
 def test_exact_dominates_and_is_deterministic():

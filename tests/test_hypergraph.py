@@ -222,12 +222,12 @@ def test_evaluator_purity_and_symmetry():
 
 
 def test_sunflower_injective():
-    report = max_monochromatic_sunflower(injective_colouring(k=2), GroundSet(6), 1)
+    report = max_monochromatic_sunflower(injective_colouring(k=2), GroundSet(6))
     assert report.petals == 1
 
 
 def test_sunflower_constant():
-    report = max_monochromatic_sunflower(constant_colouring(k=2), GroundSet(5), 1)
+    report = max_monochromatic_sunflower(constant_colouring(k=2), GroundSet(5))
     assert report.petals == 4
     assert len(report.core) == 1
     assert all(report.core[0] in e for e in report.witness_edges)
@@ -235,7 +235,7 @@ def test_sunflower_constant():
 
 def test_sunflower_sidon_123():
     c = sidon_colouring(IntegerInstance(values=(1, 2, 3)))
-    report = max_monochromatic_sunflower(c, GroundSet(3), 1)
+    report = max_monochromatic_sunflower(c, GroundSet(3))
     assert report.petals == 2
     assert report.core == (1,)
     assert report.colour == b"1"
@@ -243,8 +243,8 @@ def test_sunflower_sidon_123():
 
 
 def test_sunflower_h0_is_largest_class():
-    c = constant_colouring(k=2)
-    report = max_monochromatic_sunflower(c, GroundSet(5), 0)
+    c = constant_colouring(k=2, h=0)
+    report = max_monochromatic_sunflower(c, GroundSet(5))
     assert report.core == ()
     assert report.petals == 10
 
@@ -252,7 +252,7 @@ def test_sunflower_h0_is_largest_class():
 def test_sunflower_witnesses_contain_core_and_colour():
     for seed in range(6):
         c = random_colouring(seed, k=3, h=1, palette=3)
-        report = max_monochromatic_sunflower(c, GroundSet(7), 1)
+        report = max_monochromatic_sunflower(c, GroundSet(7))
         for e in report.witness_edges:
             assert set(report.core) <= set(e)
             assert canonical_key(c.evaluator(e)) == report.colour
@@ -263,19 +263,18 @@ def test_sunflower_witnesses_contain_core_and_colour():
 def test_sunflower_matches_brute_force(k, h, n):
     for seed in range(8):
         c = random_colouring(seed, k=k, h=h, palette=3)
-        report = max_monochromatic_sunflower(c, GroundSet(n), h)
+        report = max_monochromatic_sunflower(c, GroundSet(n))
         assert ((report.core, report.colour, report.petals, report.witness_edges)
                 == brute_force_sunflower(c, n, h))
 
 
 def test_sunflower_parameter_errors():
+    # h < k is the spec's check (test_spec_invariants); k <= n is colour_classes'
     c = injective_colouring(k=2)
     with pytest.raises(ParameterError):
-        max_monochromatic_sunflower(c, GroundSet(5), 2)
-    with pytest.raises(ParameterError):
-        max_monochromatic_sunflower(c, GroundSet(1), 1)
+        max_monochromatic_sunflower(c, GroundSet(1))
     with pytest.raises(BudgetError):
-        max_monochromatic_sunflower(c, GroundSet(12), 1, budget=5)
+        max_monochromatic_sunflower(c, GroundSet(12), budget=5)
 
 
 def test_validate_lambda_sidon():
