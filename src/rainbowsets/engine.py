@@ -155,7 +155,9 @@ def greedy_rainbow(colouring: Colouring, ground: GroundSet, order: int | None = 
     shuffled by ``random.Random(order)``.  A vertex is added iff every k-edge
     it forms with already-chosen vertices has a colour unused so far and the
     new colours are pairwise distinct; the result is maximal for the order,
-    since a rejected vertex only accumulates more constraints later.
+    since a rejected vertex only accumulates more constraints later.  The
+    scan compares the evaluator's raw values; the closing verification reads
+    them through ``Colouring.colours``, so an inexact colour raises there.
     """
     n, k = ground.n, colouring.spec.k
     if k > n:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain, combinations, islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -20,7 +21,15 @@ from .keys import canonical_key
 # caller raises the budget explicitly; they fail loudly rather than sample.
 DEFAULT_BUDGET = 5_000_000
 
-_CHUNK = 4096  # colour_class_sizes checks the types of this many colours at a time
+_CHUNK = 4096  # Colouring.colours checks the types of this many colours at a time
+
+
+def _checked(chunk: list) -> list:
+    """``chunk`` as it is, unless one of its colours has no canonical key: that raises TypeError."""
+    if not {int, Fraction}.issuperset(map(type, chunk)):
+        for value in chunk:
+            canonical_key(value)
+    return chunk
 
 
 @dataclass(frozen=True)
@@ -64,10 +73,10 @@ class Colouring:
     """A pure deterministic map from k-subsets of the ground set to colours.
 
     The evaluator receives the subset as a sorted tuple of vertex ids and
-    returns an exact hashable value (int, Fraction, tuple, ...);
-    ``keys.canonical_key`` serializes it.  ``rows``, if given, colours a
-    whole ascending vertex list at once, as ``colours`` does, with the
-    evaluator's values.
+    returns an exact hashable value (int, Fraction, tuple, ...) that
+    ``keys.canonical_key`` serializes.  ``rows``, if given, colours a whole
+    ascending vertex list at once with the evaluator's values.  ``colours``
+    checks every colour it yields, so whole-set passes may compare values.
     """
 
     spec: ColouringSpec
@@ -75,11 +84,15 @@ class Colouring:
     label: str
     rows: Callable[[Sequence[int]], Iterable] | None = None
 
-    def colours(self, vertices: Sequence[int]) -> Iterable:
-        """The colours of the k-subsets of ascending ``vertices``, in ``combinations`` order."""
-        if self.rows is not None:
-            return self.rows(vertices)
-        return map(self.evaluator, combinations(vertices, self.spec.k))
+    def colours(self, vertices: Sequence[int]) -> Iterator:
+        """The colours of the k-subsets of ascending ``vertices``, in ``combinations`` order.
+
+        Read ``_CHUNK`` at a time: a chunk of exact ints and Fractions passes as
+        it is, and every colour of any other is keyed, so an inexact one raises.
+        """
+        colours = iter(self.rows(vertices) if self.rows is not None
+                       else map(self.evaluator, combinations(vertices, self.spec.k)))
+        return chain.from_iterable(map(_checked, iter(lambda: list(islice(colours, _CHUNK)), [])))
 
 
 @dataclass(frozen=True)
@@ -139,13 +152,13 @@ def _colours_within_budget(colouring: Colouring, ground: GroundSet, vertices, bu
     if k > ground.n:
         raise ParameterError(f"k={k} exceeds ground set size {ground.n}")
     require_budget(math.comb(len(vertices), k), budget, "colour", what, "colour evaluations")
-    return iter(colouring.colours(vertices))
+    return colouring.colours(vertices)
 
 
 def colour_classes(
     colouring: Colouring, ground: GroundSet, budget: int = DEFAULT_BUDGET, vertices=None
 ) -> dict[bytes, list[tuple[int, ...]]]:
-    """Group every k-subset of ``vertices`` by its canonical colour key.
+    """Group every k-subset of ``vertices`` by its colour value, keying each class once.
 
     ``vertices`` is an ascending sequence of ground-set ids and defaults to
     the whole ground set.
@@ -153,34 +166,22 @@ def colour_classes(
     if vertices is None:
         vertices = ground.vertices
     colours = _colours_within_budget(colouring, ground, vertices, budget, "colour_classes")
-    classes: dict[bytes, list[tuple[int, ...]]] = defaultdict(list)
-    for key, e in zip(map(canonical_key, colours), combinations(vertices, colouring.spec.k)):
-        classes[key].append(e)
-    return dict(classes)
+    classes: dict[object, list[tuple[int, ...]]] = defaultdict(list)
+    for value, e in zip(colours, combinations(vertices, colouring.spec.k)):
+        classes[value].append(e)
+    return {canonical_key(value): edges for value, edges in classes.items()}
 
 
 def colour_class_sizes(
     colouring: Colouring, ground: GroundSet, budget: int = DEFAULT_BUDGET
 ) -> Counter:
-    """Size of every colour class of the ground set, keyed by colour key; no edge is stored.
+    """Size of every colour class of the ground set, keyed as in ``colour_classes``.
 
-    Integer colours are counted by value.  The colours are read in chunks,
-    and a chunk of exact ``int``s only is counted at C speed; each distinct
-    value is keyed once at the end.  From the first chunk holding anything
-    else, every colour is keyed, so a float or a bool raises wherever it
-    appears, and no colour is evaluated twice.
+    No edge is stored: the checked colours are counted by value.
     """
     colours = _colours_within_budget(colouring, ground, ground.vertices, budget,
                                      "colour_class_sizes")
-    by_value, sizes = Counter(), Counter()
-    while chunk := list(islice(colours, _CHUNK)):
-        if set(map(type, chunk)) != {int}:
-            sizes = Counter(map(canonical_key, chain(chunk, colours)))
-            break
-        by_value.update(chunk)
-    for value, size in by_value.items():
-        sizes[canonical_key(value)] += size
-    return sizes
+    return Counter({canonical_key(value): size for value, size in Counter(colours).items()})
 
 
 def max_monochromatic_sunflower(

@@ -2,11 +2,11 @@
 
 Colour evaluators return exact Python values (int, Fraction, str, bytes, or
 tuples of these); ``canonical_key`` serializes them so that two values are
-equal exactly when their keys are byte-identical.  Reports and files carry
-keys; in-memory algorithms may compare the raw values directly, which is
-equivalent because the encoding is injective.  Numbers are keyed by
-value, so an ``int`` or ``Fraction`` subclass (an ``IntEnum`` member, say)
-shares the key of the equal plain number whatever its ``str`` says.
+equal exactly when their keys are byte-identical, and refuses a float or a
+bool.  ``hypergraph.Colouring.colours`` checks every colour of a whole-set
+pass with it, so those passes compare raw values and key each class once.
+Numbers are keyed by value, so an ``int`` or ``Fraction`` subclass shares
+the key of the equal plain number whatever its ``str`` says.
 """
 
 from fractions import Fraction
@@ -20,8 +20,6 @@ def canonical_key(value) -> bytes:
     Strings and bytes are length-prefixed, tuples are bracketed, so distinct
     structured values never collide.
     """
-    if type(value) is int:  # the common case, ahead of the bool test
-        return b"%d" % value
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return b"%d" % value.numerator

@@ -291,6 +291,21 @@ def test_bench_small_grid(tmp_path, capsys):
     assert err.count("trial=") == 12  # a line per trial
 
 
+def test_bench_poly_medians_keyed_by_prepared_size(tmp_path):
+    # preparation drops the value 1 (PIN_POLY below), so each grid size n
+    # runs on n - 1 values; the medians and the floor check read the CSV's N
+    (tmp_path / "poly.json").write_text(json.dumps(PIN_POLY) + "\n")
+    out = tmp_path / "bench.csv"
+    code = run("bench", "--colouring", "poly", "--poly", str(tmp_path / "poly.json"),
+               "--grid", "10,14,18,22", "--trials", "3", "--out", str(out),
+               "--slope-min", "0", "--slope-max", "2", "--median-coeff", "0.1")
+    assert code == 0
+    ns = {line.split(",")[0] for line in out.read_text().splitlines()[1:]}
+    assert ns == {"9", "13", "17", "21"}
+    report = json.loads((tmp_path / "bench.csv.report.json").read_text())
+    assert list(report["medians"]["greedy"]) == ["9", "13", "17", "21"]
+
+
 def test_bench_single_grid_point_usage_error(tmp_path):
     code = run("bench", "--colouring", "sidon", "--grid", "100",
                "--out", str(tmp_path / "b.csv"))

@@ -279,8 +279,9 @@ def test_sample_float_colours_raise_type_error():
 
 @pytest.mark.parametrize("odd", [1.0, True, (1, (2.0,))])
 def test_every_colour_value_is_keyed(odd):
-    # 1 == 1.0 == True, so grouping by raw value would put the last edge in
-    # the class of 1 and let the float or bool through; keying every value
+    # 1 == 1.0 == True, so grouping unchecked raw values would put the last
+    # edge in the class of 1 and let the float or bool through;
+    # Colouring.colours, which indexing, counting and verification read,
     # refuses it, or a float nested in a tuple, wherever it appears.  The
     # plan keeps no vertex, so only the counting pass over the whole ground
     # set sees the last edge.
@@ -290,6 +291,18 @@ def test_every_colour_value_is_keyed(odd):
         sample_and_delete(c, GroundSet(6), plan)
     with pytest.raises(TypeError):
         colour_classes(c, GroundSet(6))
+    with pytest.raises(TypeError):
+        verify_rainbow(c, range(6))
+    # float differences of 1..10 round apart, so {1, 2, 3} would pass as
+    # rainbow by raw value although 2 - 1 == 3 - 2; verification refuses
+    # the floats, and so greedy, whose scan compares raw values, cannot
+    # certify its subset
+    tenths = Colouring(ColouringSpec(2, 1, 2), lambda e: 0.1 * (e[1] + 1) - 0.1 * (e[0] + 1),
+                       "tenths")
+    with pytest.raises(TypeError):
+        verify_rainbow(tenths, (0, 1, 2))
+    with pytest.raises(TypeError):
+        greedy_rainbow(tenths, GroundSet(10))
 
 
 # ----------------------------------------------------------------- exact

@@ -180,9 +180,9 @@ ODD_COLOURS = (COLOUR_VALUES | st.floats() | st.booleans()
 @example(seed=0, k=2, n=100, palette=4, odd=Fraction(3), at=4949)
 @example(seed=0, k=2, n=100, palette=4, odd=(3, (3.0,)), at=4949)
 def test_class_sizes_match_keyed_count(seed, k, n, palette, odd, at):
-    # integer colours are counted by value, a chunk at a time; the odd value
-    # at any edge, the first included and the last of C(100, 2) = 4950 (past
-    # the first chunk), must still be keyed (or refused) like every other
+    # colours are checked a chunk at a time and counted by value; the odd
+    # value at any edge, the first included and the last of C(100, 2) = 4950
+    # (past the first chunk), must still be keyed (or refused) like every other
     assert math.comb(100, 2) > _CHUNK
     edges = list(combinations(range(n), k))
     odd_edge = edges[at % len(edges)]
@@ -202,11 +202,17 @@ def test_class_sizes_merge_equal_numbers_only(odd_edge):
     def colouring(odd):
         return Colouring(ColouringSpec(2, 1, 1), lambda e: odd if e == odd_edge else 3, "threes")
 
+    edges = list(combinations(range(5), 2))
+    others = [e for e in edges if e != odd_edge]
     assert colour_class_sizes(colouring(Fraction(3)), GroundSet(5)) == {b"3": 10}
+    assert colour_classes(colouring(Fraction(3)), GroundSet(5)) == {b"3": edges}
     assert colour_class_sizes(colouring("3"), GroundSet(5)) == {b"3": 9, b"s1:3": 1}
+    assert colour_classes(colouring("3"), GroundSet(5)) == {b"3": others, b"s1:3": [odd_edge]}
     for odd in (3.0, True, (3, (3.0,))):
         with pytest.raises(TypeError):
             colour_class_sizes(colouring(odd), GroundSet(5))
+        with pytest.raises(TypeError):
+            colour_classes(colouring(odd), GroundSet(5))
 
 
 def test_evaluator_purity_and_symmetry():
