@@ -16,11 +16,9 @@ from .algebra import (
     sidon_colouring,
 )
 from .engine import (
-    BenchRecord,
     ExponentFit,
     RainbowResult,
     SamplePlan,
-    bench_trials,
     derive_seed,
     estimate_exponent,
     exact_max_rainbow,
@@ -51,7 +49,6 @@ from .hypergraph import (
 from .keys import canonical_key
 
 __all__ = [
-    "BenchRecord",
     "BudgetError",
     "Colouring",
     "ColouringSpec",
@@ -69,7 +66,6 @@ __all__ = [
     "SunflowerReport",
     "SymPoly",
     "ValidationError",
-    "bench_trials",
     "build_conflict_hypergraph",
     "canonical_key",
     "circumradius_colouring",

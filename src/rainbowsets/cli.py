@@ -21,6 +21,7 @@ from .hypergraph import DEFAULT_BUDGET, GroundSet, validate_lambda
 POINT_COLOURINGS = ("circumradius", "volume", "similarity")
 INTEGER_COLOURINGS = ("sidon", "poly")
 ALGORITHMS = ("greedy", "sample-delete", "exact")
+BENCH_CSV_HEADER = "N,k,h,lambda,colouring,algorithm,trial,seed,rainbow_size,runtime_ms"
 
 
 def _dump_json(obj) -> str:
@@ -217,37 +218,36 @@ def _cmd_bench(args) -> int:
     if args.trials < 3:
         raise ParameterError("need at least 3 trials per grid point for the fit")
 
-    records: list[engine.BenchRecord] = []
+    rows = [BENCH_CSV_HEADER]
+    # per algorithm, each N (the ground size after any preparation) to its trials' sizes
+    sizes: dict[str, dict[int, list[int]]] = {algorithm: {} for algorithm in algorithms}
     for index, n in enumerate(grid):
         colouring, labels = _bench_instance(args.colouring, n, args,
                                             engine.derive_seed(args.seed, 1_000_000 + index))
+        ground, spec = GroundSet(len(labels)), colouring.spec
         for algorithm in algorithms:
-            def log_trial(record: engine.BenchRecord) -> None:
-                print(f"N={record.n} algorithm={record.algorithm} trial={record.trial} "
-                      f"size={record.rainbow_size} runtime_ms={record.runtime_ms:.1f}",
-                      file=sys.stderr)
+            for trial in range(args.trials):
+                seed = engine.derive_seed(args.seed, trial)
+                result = engine.run_algorithm(colouring, ground, algorithm, seed,
+                                              budget=args.budget)
+                rows.append(f"{ground.n},{spec.k},{spec.h},{spec.max_petals},{colouring.label},"
+                            f"{algorithm},{trial},{seed},{result.size},{result.runtime_ms:.3f}")
+                print(f"N={ground.n} algorithm={algorithm} trial={trial} "
+                      f"size={result.size} runtime_ms={result.runtime_ms:.1f}", file=sys.stderr)
+                sizes[algorithm].setdefault(ground.n, []).append(result.size)
 
-            records.extend(engine.bench_trials(
-                colouring, GroundSet(len(labels)), algorithm, args.trials, args.seed,
-                budget=args.budget, on_trial=log_trial,
-            ))
-
-    _write(args.out, engine.bench_csv(records))
-    spec = colouring.spec  # the grid is never empty
-    predicted = (spec.k - spec.h) / (2 * spec.k - 1)
+    _write(args.out, "\n".join(rows) + "\n")
+    predicted = (spec.k - spec.h) / (2 * spec.k - 1)  # the grid is never empty
 
     fits = {}
     medians = {}
     passed = True
-    for algorithm in algorithms:
-        subset = [r for r in records if r.algorithm == algorithm]
-        fit = engine.estimate_exponent(subset)
+    for algorithm, by_n in sizes.items():
+        fit = engine.estimate_exponent(by_n)
         fits[algorithm] = {"slope": fit.slope, "stderr": fit.stderr, "intercept": fit.intercept}
-        ns = sorted({r.n for r in subset})  # the CSV's N: the ground size after any preparation
-        med = {str(n): median(r.rainbow_size for r in subset if r.n == n) for n in ns}
-        medians[algorithm] = med
+        med = medians[algorithm] = {str(n): median(by_n[n]) for n in sorted(by_n)}
         slope_ok = args.slope_min <= fit.slope <= args.slope_max
-        floor_ok = all(med[str(n)] >= args.median_coeff * n ** predicted for n in ns)
+        floor_ok = all(med[str(n)] >= args.median_coeff * n ** predicted for n in by_n)
         passed = passed and slope_ok and floor_ok
 
     report = {

@@ -1,9 +1,12 @@
-"""Rainbow-subset extraction algorithms and the benchmark harness.
+"""Rainbow-subset extraction algorithms and the scaling-exponent fit.
 
 Three routes to a rainbow subset: an incremental greedy scan, random
 sparsification followed by hand deletions, and an exact branch-and-bound
 oracle for small instances.  Every algorithm re-verifies its own output
-before returning it.
+before returning it.  ``run_algorithm`` dispatches one seeded run by name,
+``derive_seed`` gives each trial its seed, and ``estimate_exponent`` fits
+the log-log slope of rainbow size against N; the CLI's ``bench`` command
+runs the trials and writes their rows.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
 from statistics import fmean
@@ -31,8 +33,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # Per-k ground-set caps for the exact oracle; override via the limit argument.
 DEFAULT_ORACLE_LIMITS = {2: 20, 3: 14}
 DEFAULT_ORACLE_FALLBACK_LIMIT = 12
-
-BENCH_CSV_HEADER = "N,k,h,lambda,colouring,algorithm,trial,seed,rainbow_size,runtime_ms"
 
 
 def _splitmix64(x: int) -> int:
@@ -99,29 +99,6 @@ class RainbowResult:
     @property
     def size(self) -> int:
         return len(self.subset)
-
-
-@dataclass(frozen=True)
-class BenchRecord:
-    """One benchmark trial, one CSV row."""
-
-    n: int
-    k: int
-    h: int
-    max_petals: int
-    colouring: str
-    algorithm: str
-    trial: int
-    seed: int
-    rainbow_size: int
-    runtime_ms: float
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.n},{self.k},{self.h},{self.max_petals},{self.colouring},"
-            f"{self.algorithm},{self.trial},{self.seed},{self.rainbow_size},"
-            f"{self.runtime_ms:.3f}"
-        )
 
 
 @dataclass(frozen=True)
@@ -312,15 +289,13 @@ def exact_max_rainbow(colouring: Colouring, ground: GroundSet, limit: int | None
     return RainbowResult(subset, "exact", None, verified, stats, runtime_ms)
 
 
-def estimate_exponent(records: list[BenchRecord]) -> ExponentFit:
+def estimate_exponent(by_n: dict[int, list[int]]) -> ExponentFit:
     """Fit log(mean rainbow size) = intercept + slope * log(N) by least squares.
 
+    ``by_n`` maps each ground size N to the rainbow sizes of its trials.
     Requires at least 4 distinct ground sizes with at least 3 trials each;
     the standard error of the slope comes out of the usual OLS residuals.
     """
-    by_n: dict[int, list[int]] = defaultdict(list)
-    for record in records:
-        by_n[record.n].append(record.rainbow_size)
     if len(by_n) < 4:
         raise ParameterError(f"need at least 4 distinct N values, got {len(by_n)}")
     for n, sizes in by_n.items():
@@ -356,32 +331,3 @@ def run_algorithm(colouring: Colouring, ground: GroundSet, algorithm: str, seed:
     if algorithm == "exact":
         return exact_max_rainbow(colouring, ground, limit=limit, budget=budget)
     raise ParameterError(f"unknown algorithm {algorithm!r}")
-
-
-def bench_trials(colouring: Colouring, ground: GroundSet, algorithm: str, trials: int,
-                 master_seed: int, budget: int = DEFAULT_BUDGET,
-                 on_trial=None) -> list[BenchRecord]:
-    """Run seeded trials of one algorithm on one instance and collect records."""
-    if trials < 1:
-        raise ParameterError("need at least one trial")
-    spec = colouring.spec
-    records = []
-    for trial in range(trials):
-        seed = derive_seed(master_seed, trial)
-        result = run_algorithm(colouring, ground, algorithm, seed, budget=budget)
-        record = BenchRecord(
-            n=ground.n, k=spec.k, h=spec.h, max_petals=spec.max_petals,
-            colouring=colouring.label, algorithm=algorithm, trial=trial, seed=seed,
-            rainbow_size=result.size, runtime_ms=result.runtime_ms,
-        )
-        records.append(record)
-        if on_trial is not None:
-            on_trial(record)
-    return records
-
-
-def bench_csv(records: list[BenchRecord]) -> str:
-    """Render records as CSV with the fixed header."""
-    lines = [BENCH_CSV_HEADER]
-    lines.extend(record.csv_row() for record in records)
-    return "\n".join(lines) + "\n"

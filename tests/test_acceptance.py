@@ -31,7 +31,6 @@ from rainbowsets.algebra import (
 )
 from rainbowsets.engine import (
     SamplePlan,
-    bench_trials,
     derive_seed,
     estimate_exponent,
     exact_max_rainbow,
@@ -405,19 +404,19 @@ def test_sidon_oracle_matches_exhaustive_search():
 def test_greedy_sidon_scaling():
     t0 = time.perf_counter()
     grid = (10**3, 10**4, 10**5, 10**6)
-    records = []
+    by_n = {}
     floors_ok = True
     detail = []
     for n in grid:
         colouring = sidon_colouring(IntegerInstance(values=tuple(range(1, n + 1))))
         ground = GroundSet(n)
-        batch = bench_trials(colouring, ground, "greedy", trials=5, master_seed=1)
-        records.extend(batch)
-        med = median(r.rainbow_size for r in batch)
+        by_n[n] = [greedy_rainbow(colouring, ground, order=derive_seed(1, trial)).size
+                   for trial in range(5)]
+        med = median(by_n[n])
         floor = 0.8 * n ** (1 / 3)
         detail.append(f"N={n}: median {med} floor {floor:.1f}")
         floors_ok = floors_ok and med >= floor
-    fit = estimate_exponent(records)
+    fit = estimate_exponent(by_n)
     elapsed = time.perf_counter() - t0
     slope_ok = 0.28 <= fit.slope <= 0.40
     ok = floors_ok and slope_ok and elapsed < 600

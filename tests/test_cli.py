@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +13,7 @@ from helpers import is_sidon, spiral_coords
 import rainbowsets
 from rainbowsets import cli
 from rainbowsets.algebra import IntegerInstance, integers_to_obj
-from rainbowsets.engine import BENCH_CSV_HEADER, exact_max_rainbow
+from rainbowsets.engine import derive_seed, exact_max_rainbow
 from rainbowsets.geometry import PointInstance, points_from_obj, points_to_obj
 from rainbowsets.hypergraph import GroundSet
 
@@ -281,8 +282,14 @@ def test_bench_small_grid(tmp_path, capsys):
                "--median-coeff", "0.1")
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == BENCH_CSV_HEADER
+    assert lines[0] == cli.BENCH_CSV_HEADER
+    assert lines[0] == "N,k,h,lambda,colouring,algorithm,trial,seed,rainbow_size,runtime_ms"
     assert len(lines) == 1 + 4 * 3
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[6] for row in rows] == ["0", "1", "2"] * 4  # trials 0..t-1 per N
+    assert all(row[7] == str(derive_seed(4, int(row[6]))) for row in rows)
+    assert all(0 < int(row[8]) <= int(row[0]) for row in rows)
+    assert lines[1].startswith("30,2,1,2,sidon,greedy,0,")
     report = json.loads((tmp_path / "bench.csv.report.json").read_text())
     assert report["predicted_slope"] == pytest.approx(1 / 3)
     assert report["pass"] is True
@@ -344,6 +351,69 @@ def test_bench_threshold_fail_exit2(tmp_path):
     assert code == 2
     report = json.loads((tmp_path / "b.csv.report.json").read_text())
     assert report["pass"] is False
+    # the same slope passes a wide band, and the median floor alone fails the run
+    code = run("bench", "--colouring", "sidon", "--grid", "30,60,90,120",
+               "--trials", "3", "--seed", "4", "--out", str(tmp_path / "b.csv"),
+               "--slope-min", "0.0", "--slope-max", "1.0", "--median-coeff", "10")
+    assert code == 2
+    report = json.loads((tmp_path / "b.csv.report.json").read_text())
+    assert report["pass"] is False
+
+
+# Two bench runs that fail the default thresholds (exit 2), pinned by the SHA-256
+# of the CSV without its runtime_ms column, the report, and the SHA-256 of the
+# stderr trial lines with their runtimes masked.
+BENCH_PINS = {
+    "sidon": (
+        ["--colouring", "sidon", "--grid", "30,60,90,120",
+         "--algorithms", "greedy,sample-delete", "--trials", "3", "--seed", "1"],
+        "c9817a6a56d3a8651ba518d6995ff424f8aff8669a0491b664b03e25d8040eb6",
+        {"colouring": "sidon", "algorithms": ["greedy", "sample_delete"],
+         "grid": [30, 60, 90, 120], "trials": 3, "master_seed": 1,
+         "predicted_slope": 1 / 3,
+         "fits": {"greedy": {"slope": 0.39374456057694307, "stderr": 0.009357402370006042,
+                             "intercept": 0.4580037163499353},
+                  "sample_delete": {"slope": -0.043236227232704934,
+                                    "stderr": 0.08534717148799002,
+                                    "intercept": 0.990166897678888}},
+         "medians": {"greedy": {"30": 6, "60": 8, "90": 9, "120": 10},
+                     "sample_delete": {"30": 2, "60": 3, "90": 2, "120": 3}},
+         "thresholds": {"slope_min": 0.28, "slope_max": 0.4, "median_coeff": 0.8},
+         "pass": False},
+        "e4a46ad53cbb28e7868ec0af73fab145185a6739f078576b0caaecf3cfa4bc64",
+    ),
+    "circumradius": (
+        ["--colouring", "circumradius", "--d", "2", "--grid", "6,7,8,9",
+         "--algorithms", "greedy,exact", "--trials", "3", "--seed", "2"],
+        "010f7c4179582d16f94060313e2f6b3ea24c1731b5b74d7eee6be76e71f8c6bf",
+        {"colouring": "circumradius", "algorithms": ["greedy", "exact"],
+         "grid": [6, 7, 8, 9], "trials": 3, "master_seed": 2, "predicted_slope": 0.2,
+         "fits": {"greedy": {"slope": 1.0, "stderr": 0.0, "intercept": 0.0},
+                  "exact": {"slope": 1.0, "stderr": 0.0, "intercept": 0.0}},
+         "medians": {"greedy": {"6": 6, "7": 7, "8": 8, "9": 9},
+                     "exact": {"6": 6, "7": 7, "8": 8, "9": 9}},
+         "thresholds": {"slope_min": 0.28, "slope_max": 0.4, "median_coeff": 0.8},
+         "pass": False},
+        "4f8961f16ecfc57c1763a62723a9e9b236dd009507ac3d1e1b587adc3892b7d2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BENCH_PINS)
+def test_bench_outputs_are_pinned(tmp_path, capsys, case):
+    argv, csv_digest, want, err_digest = BENCH_PINS[case]
+    out = tmp_path / "bench.csv"
+    assert run("bench", *argv, "--out", str(out)) == 2
+    masked = "".join(line.rsplit(",", 1)[0] + "\n" for line in out.read_text().splitlines())
+    assert hashlib.sha256(masked.encode()).hexdigest() == csv_digest, masked
+    report = json.loads((tmp_path / "bench.csv.report.json").read_text())
+    fits = report.pop("fits")  # math.log may differ in its last bit across platforms
+    assert report == {key: value for key, value in want.items() if key != "fits"}
+    assert list(fits) == list(want["fits"])
+    for algorithm, fit in want["fits"].items():
+        assert fits[algorithm] == pytest.approx(fit, rel=1e-12)
+    err = re.sub(r"runtime_ms=\S+", "runtime_ms=*", capsys.readouterr().err)
+    assert hashlib.sha256(err.encode()).hexdigest() == err_digest, err
 
 
 # -------------------------------------------------- determinism, codes

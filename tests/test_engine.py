@@ -13,11 +13,7 @@ from helpers import (
 )
 from rainbowsets.algebra import IntegerInstance, sidon_colouring
 from rainbowsets.engine import (
-    BENCH_CSV_HEADER,
-    BenchRecord,
     SamplePlan,
-    bench_csv,
-    bench_trials,
     derive_seed,
     estimate_exponent,
     exact_max_rainbow,
@@ -447,43 +443,34 @@ def test_verify_budget():
 # ------------------------------------------------------------- exponent
 
 
-def fake_records(sizes_by_n, trials=3):
-    records = []
-    for n, size in sizes_by_n.items():
-        for t in range(trials):
-            records.append(BenchRecord(
-                n=n, k=2, h=1, max_petals=2, colouring="synthetic", algorithm="greedy",
-                trial=t, seed=t, rainbow_size=size, runtime_ms=1.0,
-            ))
-    return records
+def fake_sizes(size_by_n, trials=3):
+    return {n: [size] * trials for n, size in size_by_n.items()}
 
 
 def test_exponent_exact_power_law():
     # sizes are exact cube roots of the grid
-    records = fake_records({10**6: 100, 8 * 10**6: 200, 27 * 10**6: 300, 64 * 10**6: 400})
-    fit = estimate_exponent(records)
+    fit = estimate_exponent(fake_sizes({10**6: 100, 8 * 10**6: 200, 27 * 10**6: 300,
+                                        64 * 10**6: 400}))
     assert fit.slope == pytest.approx(1 / 3, abs=1e-9)
     assert fit.stderr == pytest.approx(0.0, abs=1e-9)
 
 
 def test_exponent_constant_sizes():
-    records = fake_records({10: 7, 100: 7, 1000: 7, 10000: 7})
-    fit = estimate_exponent(records)
+    fit = estimate_exponent(fake_sizes({10: 7, 100: 7, 1000: 7, 10000: 7}))
     assert fit.slope == pytest.approx(0.0, abs=1e-12)
 
 
 def test_exponent_full_ground_set():
     # rainbow size equal to N, as for a colouring with no repeats at all
-    records = fake_records({10: 10, 100: 100, 1000: 1000, 10000: 10000})
-    fit = estimate_exponent(records)
+    fit = estimate_exponent(fake_sizes({10: 10, 100: 100, 1000: 1000, 10000: 10000}))
     assert fit.slope == pytest.approx(1.0, abs=1e-9)
 
 
 def test_exponent_requires_enough_data():
     with pytest.raises(ParameterError):
-        estimate_exponent(fake_records({10: 5, 100: 6, 1000: 7}))
+        estimate_exponent(fake_sizes({10: 5, 100: 6, 1000: 7}))
     with pytest.raises(ParameterError):
-        estimate_exponent(fake_records({10: 5, 100: 6, 1000: 7, 10000: 8}, trials=2))
+        estimate_exponent(fake_sizes({10: 5, 100: 6, 1000: 7, 10000: 8}, trials=2))
 
 
 # ------------------------------------------------------------- harness
@@ -494,21 +481,6 @@ def test_derive_seed_deterministic_and_spread():
     seeds = {derive_seed(42, i) for i in range(1000)}
     assert len(seeds) == 1000
     assert all(0 <= s < 2**64 for s in seeds)
-
-
-def test_bench_trials_and_csv():
-    c, g = sidon_instance(25)
-    records = bench_trials(c, g, "greedy", trials=3, master_seed=5)
-    assert [r.trial for r in records] == [0, 1, 2]
-    assert all(r.seed == derive_seed(5, r.trial) for r in records)
-    assert all(0 < r.rainbow_size <= 25 for r in records)
-    text = bench_csv(records)
-    lines = text.splitlines()
-    assert lines[0] == BENCH_CSV_HEADER
-    assert lines[0] == "N,k,h,lambda,colouring,algorithm,trial,seed,rainbow_size,runtime_ms"
-    assert len(lines) == 4
-    first = lines[1].split(",")
-    assert first[:7] == ["25", "2", "1", "2", "sidon", "greedy", "0"]
 
 
 def test_run_algorithm_dispatch():

@@ -1,13 +1,15 @@
-"""The README's library tour runs as written, on the package's public names."""
+"""The README's library tour and CLI commands run as written, on public names."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 from types import ModuleType
 
 import rainbowsets
+from rainbowsets import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -33,3 +35,19 @@ def test_readme_python_blocks_run():
         done = subprocess.run([sys.executable, "-c", block], env=env, capture_output=True,
                               text=True, timeout=60)
         assert done.returncode == 0, done.stderr
+
+
+def test_readme_cli_commands_run(tmp_path, monkeypatch):
+    # each `rainbowsets` command of the README's sh blocks, in order, in one directory
+    text = "\n".join(re.findall(r"```sh\n(.*?)```", README.read_text(), re.S))
+    commands = [shlex.split(line) for line in text.replace("\\\n", " ").splitlines()
+                if line.startswith("rainbowsets ")]
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for argv in commands:
+        if argv[1] == "bench":
+            # its 10^6 grid is test_greedy_sidon_scaling's own run, about 40-63 s
+            continue
+        assert cli.main(argv[1:]) == 0, " ".join(argv)
+        ran.append(argv[1])
+    assert "oracle" in ran and "audit" in ran
