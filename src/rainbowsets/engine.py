@@ -2,11 +2,10 @@
 
 Three routes to a rainbow subset: an incremental greedy scan, random
 sparsification followed by hand deletions, and an exact branch-and-bound
-oracle for small instances.  Every algorithm re-verifies its own output
-before returning it.  ``run_algorithm`` dispatches one seeded run by name,
-``derive_seed`` gives each trial its seed, and ``estimate_exponent`` fits
-the log-log slope of rainbow size against N; the CLI's ``bench`` command
-runs the trials and writes their rows.
+oracle.  Every algorithm re-verifies its own output before returning it.
+``run_algorithm`` dispatches one seeded run by name, ``derive_seed`` gives
+each trial its seed, and ``estimate_exponent`` fits the log-log slope of
+rainbow size against N for the CLI's ``bench`` command.
 """
 
 from __future__ import annotations
@@ -18,21 +17,12 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from statistics import fmean
 
-from .errors import ParameterError, require_budget
-from .hypergraph import (
-    DEFAULT_BUDGET,
-    Colouring,
-    GroundSet,
-    build_conflict_hypergraph,
-    colour_class_sizes,
-)
+from .errors import BudgetError, ParameterError, require_budget
+from .hypergraph import (DEFAULT_BUDGET, Colouring, GroundSet, build_conflict_hypergraph,
+                         colour_class_sizes)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-
-# Per-k ground-set caps for the exact oracle; override via the limit argument.
-DEFAULT_ORACLE_LIMITS = {2: 20, 3: 14}
-DEFAULT_ORACLE_FALLBACK_LIMIT = 12
 
 
 def _splitmix64(x: int) -> int:
@@ -226,7 +216,7 @@ def sample_and_delete(colouring: Colouring, ground: GroundSet, plan: SamplePlan,
     return RainbowResult(subset, "sample_delete", plan.seed, verified, stats, runtime_ms)
 
 
-def exact_max_rainbow(colouring: Colouring, ground: GroundSet, limit: int | None = None,
+def exact_max_rainbow(colouring: Colouring, ground: GroundSet,
                       budget: int = DEFAULT_BUDGET) -> RainbowResult:
     """Maximum-cardinality rainbow subset by branch and bound.
 
@@ -234,15 +224,16 @@ def exact_max_rainbow(colouring: Colouring, ground: GroundSet, limit: int | None
     ties) and the search runs on their positions in that order.  The row
     ``closing[i]`` maps the earlier positions of each k-edge ending at
     position i (the one earlier position for k = 2, a sorted tuple
-    otherwise) to one bit, that of the edge's colour class, so the search
-    colours nothing and holds the classes in use as an int mask.  The
-    natural-order greedy result seeds the bound; it runs on each edge's class
-    index, which equal colours share, so it colours nothing either.  Branches
-    that cannot strictly beat the incumbent are pruned.  Deterministic.
+    otherwise) to the bit of the edge's colour class, or to 0 when the class
+    has one edge and so never clashes; the search colours nothing and holds
+    the classes in use as an int mask.  The natural-order greedy result
+    seeds the bound; it runs on each edge's class index, which equal colours
+    share, so it colours nothing either.  Branches that cannot strictly beat
+    the incumbent are pruned.  Deterministic.  Each search node counts
+    against ``budget``: the oracle raises ``BudgetError`` once it has searched
+    ``budget`` nodes without finishing, not before any work.
     """
     n, k = ground.n, colouring.spec.k
-    cap = limit if limit is not None else DEFAULT_ORACLE_LIMITS.get(k, DEFAULT_ORACLE_FALLBACK_LIMIT)
-    require_budget(n, cap, "search", f"the exact oracle for k={k}", "vertices")
     t0 = time.perf_counter()
     hypergraph = build_conflict_hypergraph(colouring, ground, budget=budget)
     degrees = hypergraph.pair_degrees()
@@ -250,19 +241,25 @@ def exact_max_rainbow(colouring: Colouring, ground: GroundSet, limit: int | None
     position = {v: i for i, v in enumerate(order)}
     closing: list[dict] = [{} for _ in range(n)]
     class_of: dict[tuple[int, ...], int] = {}
+    clashing = sum(len(edges) > 1 for edges in hypergraph.classes)  # only these take a bit
+    require_budget(clashing ** 2, budget, "index", "the exact oracle's mask table", "bits")
+    bit = 1
     for index, edges in enumerate(hypergraph.classes):
         for e in edges:
             class_of[e] = index
             *rest, last = sorted(map(position.__getitem__, e))
-            closing[last][rest[0] if k == 2 else tuple(rest)] = 1 << index
+            closing[last][rest[0] if k == 2 else tuple(rest)] = bit if len(edges) > 1 else 0
+        bit <<= len(edges) > 1
 
     by_class = Colouring(colouring.spec, class_of.__getitem__, colouring.label)
-    best = list(greedy_rainbow(by_class, ground, budget=budget).subset)
-    nodes = 0
+    best, nodes = list(greedy_rainbow(by_class, ground, budget=budget).subset), 0
 
     def extend(i: int, chosen: list[int], used: int) -> None:
         nonlocal best, nodes
         nodes += 1
+        if nodes > budget:
+            raise BudgetError(f"search layer: the exact oracle for k={k} needs more than "
+                              f"{budget} nodes; budget is {budget}")
         if len(chosen) + (n - i) <= len(best):
             return
         if i == n:
@@ -281,7 +278,10 @@ def exact_max_rainbow(colouring: Colouring, ground: GroundSet, limit: int | None
             chosen.pop()
         extend(i + 1, chosen, used)
 
-    extend(0, [], 0)
+    try:
+        extend(0, [], 0)
+    except RecursionError:  # the search nests one Python call per position
+        raise BudgetError(f"search layer: the exact oracle needs {n + 1} nested calls") from None
     subset = tuple(sorted(best))
     verified = verify_rainbow(colouring, subset, budget=budget)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
@@ -319,15 +319,14 @@ def estimate_exponent(by_n: dict[int, list[int]]) -> ExponentFit:
 
 def run_algorithm(colouring: Colouring, ground: GroundSet, algorithm: str, seed: int,
                   shrink: float = 0.5, p: float | None = None,
-                  limit: int | None = None, budget: int = DEFAULT_BUDGET) -> RainbowResult:
+                  budget: int = DEFAULT_BUDGET) -> RainbowResult:
     """Dispatch one seeded run of a named algorithm."""
     if algorithm == "greedy":
         return greedy_rainbow(colouring, ground, order=seed, budget=budget)
     if algorithm == "sample_delete":
-        plan = SamplePlan.from_spec(
-            ground.n, colouring.spec.k, colouring.spec.h, seed=seed, shrink=shrink, p=p
-        )
+        plan = SamplePlan.from_spec(ground.n, colouring.spec.k, colouring.spec.h, seed=seed,
+                                    shrink=shrink, p=p)
         return sample_and_delete(colouring, ground, plan, budget=budget)
     if algorithm == "exact":
-        return exact_max_rainbow(colouring, ground, limit=limit, budget=budget)
+        return exact_max_rainbow(colouring, ground, budget=budget)
     raise ParameterError(f"unknown algorithm {algorithm!r}")

@@ -324,7 +324,7 @@ def test_parabola_volume_conflicts_match_independent_search():
     # triangles share an area, (b-a)(c-a)(c-b) being a product of gaps
     found = {}
     problems = []
-    for n in (10, 12, 14):
+    for n in (10, 12, 14, 16):
         xs = range(1, n + 1)
         inst = PointInstance(dim=2, points=tuple(as_point((x, x * x)) for x in xs)).validate()
         ground = GroundSet(n)
@@ -347,6 +347,7 @@ def test_parabola_volume_conflicts_match_independent_search():
         10: (19, 5, 5, (1, 2, 3, 5, 9)),
         12: (29, 5, 5, (1, 2, 3, 5, 9)),
         14: (40, 6, 6, (1, 2, 3, 5, 9, 14)),
+        16: (52, 6, 6, (1, 2, 3, 5, 9, 14)),
     }
     if found != expected:
         problems.append(f"found {found}")

@@ -237,6 +237,33 @@ def test_oracle_alias(tmp_path):
     assert result["size"] == 3
 
 
+def test_oracle_refuses_by_nodes_not_vertices(tmp_path, capsys):
+    # no vertex cap: 30 values answer within the default budget of nodes
+    inst = tmp_path / "ints.json"
+    run("generate", "integers-range", "--n", "30", "--out", str(inst))
+    out = tmp_path / "r.json"
+    assert run("oracle", "--instance", str(inst), "--colouring", "sidon", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["subset"] == ["1", "3", "14", "15", "20", "23", "30"]
+    capsys.readouterr()
+    assert run("oracle", "--instance", str(inst), "--colouring", "sidon",
+               "--budget", "100000") == 3
+    err = capsys.readouterr().err
+    assert "search layer" in err and "nodes" in err
+    assert run("oracle", "--instance", str(inst), "--colouring", "sidon", "--limit", "29") == 3
+    assert capsys.readouterr().err == (
+        "resource limit: search layer: the exact oracle for k=2 needs 30 vertices; budget is 29\n")
+
+
+def test_oracle_limit_comes_before_k_above_n(tmp_path, capsys):
+    # --limit is checked against the instance before any colour is computed
+    inst = tmp_path / "one.json"
+    run("generate", "integers-range", "--n", "1", "--out", str(inst))
+    assert run("oracle", "--instance", str(inst), "--colouring", "sidon", "--limit", "0") == 3
+    assert "the exact oracle for k=2 needs 1 vertices; budget is 0" in capsys.readouterr().err
+    assert run("oracle", "--instance", str(inst), "--colouring", "sidon") == 2
+    assert "k=2 exceeds ground set size 1" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------- audit
 
 
@@ -311,6 +338,39 @@ def test_bench_poly_medians_keyed_by_prepared_size(tmp_path):
     assert ns == {"9", "13", "17", "21"}
     report = json.loads((tmp_path / "bench.csv.report.json").read_text())
     assert list(report["medians"]["greedy"]) == ["9", "13", "17", "21"]
+
+
+def test_bench_poly_exact_runs_every_grid_size(tmp_path):
+    # no vertex cap: the oracle answers every grid size, up to N = 21
+    (tmp_path / "poly.json").write_text(json.dumps(PIN_POLY) + "\n")
+    out = tmp_path / "bench.csv"
+    assert run("bench", "--colouring", "poly", "--poly", str(tmp_path / "poly.json"),
+               "--grid", "10,14,18,22", "--algorithms", "greedy,sample-delete,exact",
+               "--trials", "4", "--out", str(out)) == 2  # slopes outside the band
+    assert len(out.read_text().splitlines()) == 1 + 4 * 3 * 4
+    report = json.loads((tmp_path / "bench.csv.report.json").read_text())
+    assert set(report["fits"]) == {"greedy", "sample_delete", "exact"}
+    assert report["fits"]["exact"]["slope"] > 0
+    assert report["medians"]["exact"] == {"9": 9, "13": 13, "17": 17, "21": 20}
+
+
+def test_bench_reports_the_fits_it_can_make(tmp_path, capsys):
+    # sample-delete keeps nothing in all three trials at N = 16: it gets no
+    # fit and the run fails, but greedy's fit and the report are still written
+    out = tmp_path / "bench.csv"
+    assert run("bench", "--colouring", "volume", "--d", "2", "--grid", "10,12,14,16",
+               "--algorithms", "greedy,sample-delete", "--trials", "3", "--seed", "5",
+               "--out", str(out)) == 2
+    assert len(out.read_text().splitlines()) == 1 + 4 * 2 * 3
+    report = json.loads((tmp_path / "bench.csv.report.json").read_text())
+    assert report["fits"]["sample_delete"] is None
+    assert set(report["fits"]["greedy"]) == {"slope", "stderr", "intercept"}
+    assert report["medians"]["sample_delete"] == {"10": 0, "12": 0, "14": 0, "16": 0}
+    assert report["pass"] is False
+    stdout = capsys.readouterr().out.splitlines()
+    assert stdout[0].startswith("algorithm=greedy slope=")
+    assert stdout[1:] == ["algorithm=sample_delete no fit: mean rainbow size at N=16 is not "
+                          "positive", "FAIL"]
 
 
 def test_bench_single_grid_point_usage_error(tmp_path):

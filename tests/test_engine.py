@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 from itertools import combinations
 
 import pytest
@@ -320,21 +322,55 @@ def test_exact_injective_full():
     assert result.size == 8
 
 
-def test_exact_limit_and_override():
+def test_exact_answers_by_work_not_by_vertex_count():
+    # no vertex cap: 21 vertices answer within the default budget of nodes
     c, g = sidon_instance(21)
-    with pytest.raises(BudgetError):
-        exact_max_rainbow(c, g)
-    result = exact_max_rainbow(c, g, limit=21)
+    result = exact_max_rainbow(c, g)
+    assert result.size == 6 and result.stats["nodes_explored"] == 17491
     assert result.verified
 
 
-def test_exact_checks_its_cap_before_k_above_n():
-    # the oracle's ground-size cap comes first; k <= n is then colour_classes' check
-    c = injective_colouring(k=4)
+def test_exact_refuses_once_the_search_passes_its_budget():
+    c, g = sidon_instance(30)
+    result = exact_max_rainbow(c, g, budget=248807)
+    assert result.stats["nodes_explored"] == 248807
+    assert result.subset == (0, 2, 13, 14, 19, 22, 29)
+    with pytest.raises(BudgetError, match=r"^search layer: the exact oracle for k=2 needs more "
+                                          r"than 248806 nodes; budget is 248806$"):
+        exact_max_rainbow(c, g, budget=248806)
+
+
+def test_exact_refuses_k_above_n():
     with pytest.raises(ParameterError, match=r"^k=4 exceeds ground set size 3$"):
-        exact_max_rainbow(c, GroundSet(3))
-    with pytest.raises(BudgetError, match=r"^search layer: the exact oracle for k=4 needs 3 vertices"):
-        exact_max_rainbow(c, GroundSet(3), limit=2)
+        exact_max_rainbow(injective_colouring(k=4), GroundSet(3))
+
+
+def test_exact_budgets_its_mask_table():
+    # 45 pairs of 10 vertices in 22 two-edge classes and one singleton: only
+    # the 22 classes that can clash take a bit, so the table counts 22^2 bits
+    twin = {e: i // 2 for i, e in enumerate(combinations(range(10), 2))}
+    c = Colouring(ColouringSpec(2, 1, 2), twin.__getitem__, "twins")
+    with pytest.raises(BudgetError, match=r"^index layer: the exact oracle's mask table needs "
+                                          r"484 bits; budget is 483$"):
+        exact_max_rainbow(c, GroundSet(10), budget=483)
+    assert exact_max_rainbow(c, GroundSet(10), budget=484).verified
+
+
+def test_exact_refuses_a_search_deeper_than_the_interpreter_allows():
+    # greedy keeps vertex 0 and so loses 3 and 6; the optimum drops 0 alone,
+    # so the search runs down every position before it improves on greedy
+    clashes = {(0, 1): "a", (2, 3): "a", (0, 4): "b", (5, 6): "b"}
+    c = Colouring(ColouringSpec(2, 1, 2), lambda e: clashes.get(e, e), "two-clashes")
+    assert exact_max_rainbow(c, GroundSet(120)).size == 119
+    depth = len(inspect.stack(0))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        with pytest.raises(BudgetError, match=r"^search layer: the exact oracle needs 121 nested "
+                                              r"calls$"):
+            exact_max_rainbow(c, GroundSet(120))
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_exact_dominates_and_is_deterministic():
@@ -395,7 +431,7 @@ def test_exact_sidon_matches_golomb_rulers(n, optimum):
     # optimal Golomb rulers (OEIS A003022): 7 marks need length 25 and
     # 8 marks need length 34, so 1..25 and 1..34 just miss them
     c, g = sidon_instance(n)
-    result = exact_max_rainbow(c, g, limit=n)
+    result = exact_max_rainbow(c, g)
     assert result.size == optimum
     assert result.verified
 
@@ -408,7 +444,7 @@ def test_exact_sidon_matches_golomb_rulers(n, optimum):
 def test_exact_sidon_search_is_pinned(n, nodes, pairs, subset):
     # visit order, pruning and tie-breaks: any change to them moves the node count
     c, g = sidon_instance(n)
-    result = exact_max_rainbow(c, g, limit=n)
+    result = exact_max_rainbow(c, g)
     assert result.stats == {"nodes_explored": nodes, "conflict_pairs": pairs}
     assert result.subset == subset
 
