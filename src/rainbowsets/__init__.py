@@ -26,7 +26,7 @@ from .engine import (
     sample_and_delete,
     verify_rainbow,
 )
-from .errors import BudgetError, DegenerateInputError, ParameterError, ValidationError
+from .errors import BudgetError, ParameterError, ValidationError
 from .geometry import (
     PointInstance,
     circumradius_colouring,
@@ -54,7 +54,6 @@ __all__ = [
     "ColouringSpec",
     "ConflictHypergraph",
     "DEFAULT_BUDGET",
-    "DegenerateInputError",
     "ExponentFit",
     "GroundSet",
     "IntegerInstance",

@@ -15,8 +15,7 @@ from functools import cache
 from statistics import median
 
 from . import algebra, engine, geometry
-from .errors import (BudgetError, DegenerateInputError, ParameterError, ValidationError,
-                     require_budget)
+from .errors import BudgetError, ParameterError, ValidationError, require_budget
 from .hypergraph import DEFAULT_BUDGET, GroundSet, validate_lambda
 
 POINT_COLOURINGS = ("circumradius", "volume", "similarity")
@@ -72,13 +71,12 @@ def _setup_colouring(instance, name: str, poly_path: str | None, budget: int):
     if name in POINT_COLOURINGS:
         if not isinstance(instance, geometry.PointInstance):
             raise ParameterError(f"colouring {name} needs a points instance")
-        validated = instance.validate(budget=budget, sphere=(name == "circumradius"))
         factory = {
             "circumradius": geometry.circumradius_colouring,
             "volume": geometry.volume_colouring,
             "similarity": geometry.similarity_colouring,
         }[name]
-        return factory(validated), geometry.points_to_obj(validated)["coords"]
+        return factory(instance, budget=budget), geometry.points_to_obj(instance)["coords"]
 
     if not isinstance(instance, algebra.IntegerInstance):
         raise ParameterError(f"the {name} colouring needs an integers instance")
@@ -105,6 +103,8 @@ def _cmd_generate(args) -> int:
     else:
         import random
 
+        if args.n < 1:
+            raise ParameterError("need at least one value")
         max_value = args.max_value if args.max_value is not None else 100 * args.n
         if max_value < args.n:
             raise ParameterError(f"--max-value {max_value} cannot fit {args.n} distinct values")
@@ -354,7 +354,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 2
-    except (ParameterError, DegenerateInputError) as exc:
+    except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:

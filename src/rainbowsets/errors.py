@@ -2,6 +2,9 @@
 
 The CLI maps these onto its exit-code contract: validation and parameter
 problems exit 2, budget/resource refusals exit 3, anything unexpected 1.
+Points that are not in general position (d+1 on a hyperplane, or d+2 on a
+sphere for the circumradius colouring) are a ``ValidationError``, raised by
+the geometric colouring that needs them.
 """
 
 
@@ -34,10 +37,6 @@ def require_exact(value):
         raise ParameterError(
             f"{type(value).__name__} {value!r} is not an exact number; write an int or a string")
     return value
-
-
-class DegenerateInputError(ValueError):
-    """Geometric input is degenerate (affinely dependent points)."""
 
 
 class ValidationError(ValueError):

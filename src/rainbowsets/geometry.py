@@ -9,19 +9,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, combinations, permutations
 
-from .errors import (
-    BudgetError,
-    DegenerateInputError,
-    ParameterError,
-    ValidationError,
-    require_budget,
-    require_exact,
-)
+from .errors import BudgetError, ParameterError, ValidationError, require_budget, require_exact
 from .hypergraph import DEFAULT_BUDGET, Colouring, ColouringSpec
 
 Point = tuple[Fraction, ...]
@@ -81,35 +74,34 @@ def _volume(dist, idxs) -> Fraction:
 
 def _circumradius(dist, idxs) -> Fraction:
     """Squared circumradius -det D / (2 det M), D the distance matrix and M its bordered form."""
-    bordered = _cayley_menger(dist, idxs)
-    if bordered == 0:
-        raise DegenerateInputError("points are affinely dependent; no circumsphere")
-    return -det_exact([[dist[i][j] for j in idxs] for i in idxs]) / (2 * bordered)
+    return -det_exact([[dist[i][j] for j in idxs] for i in idxs]) / (2 * _cayley_menger(dist, idxs))
 
 
 def _similarity_profile(dist, idxs) -> tuple[Fraction, ...]:
-    total = sum(dist[i][j] for i in idxs for j in idxs)
-    scaled = [[dist[i][j] / total for j in idxs] for i in idxs]
+    """The least squared-distance tuple over orderings of the points, over their total.
+
+    The total is positive, so dividing after the minimum keeps its order.
+    """
     n = len(idxs)
-    return min(
-        tuple(scaled[perm[a]][perm[b]] for a in range(n) for b in range(a + 1, n))
-        for perm in permutations(range(n))
+    least = min(
+        tuple(dist[perm[a]][perm[b]] for a in range(n) for b in range(a + 1, n))
+        for perm in permutations(idxs)
     )
+    total = sum(dist[i][j] for i in idxs for j in idxs)
+    return tuple(x / total for x in least)
 
 
 @dataclass(frozen=True)
 class PointInstance:
-    """A point set in R^d with general-position flags.
+    """A point set in R^d.
 
     Coordinates must be exact: a float or a bool raises ``ParameterError``.
-    The flags only become True after the corresponding exhaustive check has
-    passed; use ``validate`` or the check functions.
+    General position is not assumed: each geometric colouring checks the
+    points it is given.
     """
 
     dim: int
     points: tuple[Point, ...]
-    no_hyperplane: bool = False
-    no_sphere: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
@@ -124,27 +116,11 @@ class PointInstance:
     def __len__(self) -> int:
         return len(self.points)
 
-    def validate(self, budget: int = DEFAULT_BUDGET, sphere: bool = True) -> "PointInstance":
-        """Run the exhaustive checks and return a flagged copy; raise on violation."""
-        witness = find_hyperplane_violation(self, budget=budget)
-        if witness is not None:
-            raise ValidationError(
-                f"points {list(witness)} lie on a hyperplane: {self._describe(witness)}"
-            )
-        inst = replace(self, no_hyperplane=True)
-        if sphere:
-            witness = find_sphere_violation(inst, budget=budget)
-            if witness is not None:
-                raise ValidationError(
-                    f"points {list(witness)} lie on a sphere: {self._describe(witness)}"
-                )
-            inst = replace(inst, no_sphere=True)
-        return inst
-
-    def _describe(self, idxs) -> str:
-        return "; ".join(
-            "(" + ", ".join(str(c) for c in self.points[i]) + ")" for i in idxs
-        )
+    def validate(self, sphere: bool = True) -> "PointInstance":
+        """The instance itself, once no d+1 points lie on a hyperplane and, if
+        ``sphere``, no d+2 on a sphere; ``ValidationError`` names a violation."""
+        _require_general_position(self, sphere, DEFAULT_BUDGET)
+        return self
 
 
 def _differences(points, origin) -> list[tuple[int, ...]]:
@@ -221,7 +197,8 @@ def _first_violation(inst: PointInstance, size: int, what: str, exists, budget: 
     n = len(inst)
     if n < size:
         return None
-    require_budget(math.comb(n, size), budget, "verify", what, "subsets")
+    # a valid instance hashes at most one direction per (size-1)-subset
+    require_budget(math.comb(n, size - 1), budget, "verify", what, "direction hashes")
     pts = _integer_points(inst)
     anchor = next((j for j, c in enumerate(pts)
                    if exists(_differences(pts[j + 1:], c), inst.dim)), None)
@@ -250,15 +227,28 @@ def find_sphere_violation(inst: PointInstance, budget: int = DEFAULT_BUDGET):
     return _first_violation(inst, inst.dim + 2, "sphere check", _cospherical, budget)
 
 
+def _require_general_position(inst: PointInstance, sphere: bool, budget: int) -> None:
+    """Raise ``ValidationError`` naming the first hyperplane or, if ``sphere``, sphere witness."""
+    checks = [("hyperplane", find_hyperplane_violation)]
+    if sphere:
+        checks.append(("sphere", find_sphere_violation))
+    for shape, find in checks:
+        witness = find(inst, budget=budget)
+        if witness is not None:
+            described = "; ".join("(" + ", ".join(str(c) for c in inst.points[i]) + ")"
+                                  for i in witness)
+            raise ValidationError(f"points {list(witness)} lie on a {shape}: {described}")
+
+
 def generate_general_position(n: int, dim: int, seed: int,
                               coord_bound: int | None = None) -> PointInstance:
     """Random integer points with no d+1 on a hyperplane and no d+2 on a sphere.
 
     Draws uniformly from [0, coord_bound]^dim, rejecting any candidate that
-    breaks either condition against the accepted prefix; both flags are
-    therefore True on return.  coord_bound defaults to 4n^2 for collision
-    head-room.  At most DEFAULT_REJECTION_FACTOR * n draws are made before
-    ``BudgetError``.  Deterministic for a given seed.
+    breaks either condition against the accepted prefix.  coord_bound
+    defaults to 4n^2 for collision head-room.  At most
+    DEFAULT_REJECTION_FACTOR * n draws are made before ``BudgetError``.
+    Deterministic for a given seed.
     """
     if n < 1:
         raise ParameterError("need at least one point")
@@ -287,43 +277,38 @@ def generate_general_position(n: int, dim: int, seed: int,
         if _dependent(ws, dim) or _cospherical(ws, dim):
             continue
         accepted.append(candidate)
-    return PointInstance(dim=dim, points=tuple(as_point(p) for p in accepted),
-                         no_hyperplane=True, no_sphere=True)
+    return PointInstance(dim=dim, points=tuple(as_point(p) for p in accepted))
 
 
-def _require_flags(inst: PointInstance, sphere: bool, what: str) -> None:
-    if not inst.no_hyperplane:
-        raise ValidationError(f"{what} needs the hyperplane check; call validate() first")
-    if sphere and not inst.no_sphere:
-        raise ValidationError(f"{what} needs the sphere check; call validate() first")
+def circumradius_colouring(inst: PointInstance, budget: int = DEFAULT_BUDGET) -> Colouring:
+    """Colour (d+1)-tuples by exact squared circumradius; at most 2 petals per core.
 
-
-def circumradius_colouring(inst: PointInstance) -> Colouring:
-    """Colour (d+1)-tuples by exact squared circumradius; at most 2 petals per core."""
-    _require_flags(inst, sphere=True, what="circumradius colouring")
+    Refuses points with d+1 on a hyperplane or d+2 on a sphere.
+    """
+    _require_general_position(inst, True, budget)
     spec = ColouringSpec(k=inst.dim + 1, h=inst.dim, max_petals=2)
     return Colouring(spec, partial(_circumradius, _distance_matrix(inst.points)), "circumradius")
 
 
-def volume_colouring(inst: PointInstance) -> Colouring:
-    """Colour (d+1)-tuples by exact squared volume; at most 2d petals per core."""
-    _require_flags(inst, sphere=False, what="volume colouring")
+def volume_colouring(inst: PointInstance, budget: int = DEFAULT_BUDGET) -> Colouring:
+    """Colour (d+1)-tuples by exact squared volume; at most 2d petals per core.
+
+    Refuses points with d+1 on a hyperplane.
+    """
+    _require_general_position(inst, False, budget)
     spec = ColouringSpec(k=inst.dim + 1, h=inst.dim, max_petals=2 * inst.dim)
     return Colouring(spec, partial(_volume, _distance_matrix(inst.points)), "volume")
 
 
-def similarity_colouring(inst: PointInstance) -> Colouring:
-    """Colour (d+1)-tuples by similarity class; at most 2(d+1)! petals per core."""
-    _require_flags(inst, sphere=False, what="similarity colouring")
-    dist = _distance_matrix(inst.points)
+def similarity_colouring(inst: PointInstance, budget: int = DEFAULT_BUDGET) -> Colouring:
+    """Colour (d+1)-tuples by similarity class; at most 2(d+1)! petals per core.
+
+    Refuses points with d+1 on a hyperplane.
+    """
+    _require_general_position(inst, False, budget)
     spec = ColouringSpec(k=inst.dim + 1, h=inst.dim, max_petals=2 * math.factorial(inst.dim + 1))
-
-    def evaluator(ids: tuple[int, ...]):
-        if _cayley_menger(dist, ids) == 0:
-            raise DegenerateInputError("degenerate tuple in similarity colouring")
-        return _similarity_profile(dist, ids)
-
-    return Colouring(spec=spec, evaluator=evaluator, label="similarity")
+    return Colouring(spec, partial(_similarity_profile, _distance_matrix(inst.points)),
+                     "similarity")
 
 
 def points_to_obj(inst: PointInstance) -> dict:
@@ -338,7 +323,7 @@ def points_to_obj(inst: PointInstance) -> dict:
 
 
 def points_from_obj(obj: dict) -> PointInstance:
-    """Parse the JSON form; validation flags start False and must be re-earned."""
+    """Parse the JSON form; general position is checked by the colourings, not here."""
     if obj.get("type") != "points":
         raise ParameterError(f"expected a points instance, got type={obj.get('type')!r}")
     dim = int(require_exact(obj["d"]))

@@ -243,6 +243,25 @@ def general_position_witnesses(points):
     return hyperplane, sphere
 
 
+def similar_simplices(p, q) -> bool:
+    """True iff some matching of the points of p with those of q scales every distance alike.
+
+    Compares squared distances by cross-multiplication, so no ratio is formed.
+    """
+    def squared_distances(points):
+        return [[sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(u, v)) for v in points]
+                for u in points]
+
+    pairs = list(combinations(range(len(p)), 2))
+    sp, sq = squared_distances(p), squared_distances(q)
+    dp = [sp[i][j] for i, j in pairs]
+    for perm in permutations(range(len(q))):
+        dq = [sq[perm[i]][perm[j]] for i, j in pairs]
+        if all(x * dq[0] == y * dp[0] for x, y in zip(dp, dq)):
+            return True
+    return False
+
+
 def simplex_squared_volume(points):
     """Squared d-volume of the simplex on d+1 points: det(p_i - p_0)^2 / (d!)^2."""
     origin = [Fraction(c) for c in points[0]]

@@ -51,8 +51,7 @@ def test_generate_points_passes_validators(tmp_path):
                "--out", str(out)) == 0
     inst = points_from_obj(json.loads(out.read_text()))
     assert len(inst) == 10
-    validated = inst.validate()
-    assert validated.no_hyperplane and validated.no_sphere
+    assert inst.validate() is inst
 
 
 def test_generate_points_tiny_bound_resource_error(tmp_path, capsys):
@@ -79,6 +78,15 @@ def test_generate_roundtrip_byte_identical(tmp_path):
     raw = out.read_text()
     reparsed = points_from_obj(json.loads(raw))
     assert json.dumps(points_to_obj(reparsed), separators=(",", ":")) + "\n" == raw
+
+
+def test_generate_integers_random_refuses_no_values(tmp_path, capsys):
+    out = tmp_path / "ints.json"
+    for n in ("0", "-1"):
+        assert run("generate", "integers-random", "--n", n, "--max-value", "10",
+                   "--out", str(out)) == 2
+        assert "parameter error: need at least one value" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_generate_usage_error():
@@ -131,6 +139,18 @@ def test_find_collinear_points_volume_exit2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "hyperplane" in err  # the violating subset is printed
     assert "0" in err and "2" in err
+
+
+def test_find_refuses_an_over_budget_validation_exit3(tmp_path, capsys):
+    # 10 points: the hyperplane check needs C(10, 2) = 45 direction hashes,
+    # the circumradius colouring's sphere check C(10, 3) = 120
+    inst = tmp_path / "pts.json"
+    run("generate", "points", "--n", "10", "--d", "2", "--seed", "3", "--out", str(inst))
+    capsys.readouterr()
+    assert run("find", "--instance", str(inst), "--colouring", "circumradius",
+               "--budget", "100") == 3
+    assert capsys.readouterr().err == (
+        "resource limit: verify layer: sphere check needs 120 direction hashes; budget is 100\n")
 
 
 def test_find_budget_exit3(tmp_path):

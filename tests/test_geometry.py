@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,15 +13,11 @@ from helpers import (
     circumcentre,
     general_position_witnesses,
     lifted_determinant,
+    similar_simplices,
     simplex_squared_circumradius,
     simplex_squared_volume,
 )
-from rainbowsets.errors import (
-    BudgetError,
-    DegenerateInputError,
-    ParameterError,
-    ValidationError,
-)
+from rainbowsets.errors import BudgetError, ParameterError, ValidationError
 from rainbowsets.geometry import (
     PointInstance,
     as_point,
@@ -38,15 +35,17 @@ from rainbowsets.hypergraph import GroundSet, validate_lambda
 from rainbowsets.keys import canonical_key
 
 
+def instance(points) -> PointInstance:
+    return PointInstance(dim=len(points[0]), points=tuple(as_point(p) for p in points))
+
+
 def simplex_colour(factory, points):
     """The colour ``factory`` gives the simplex on exactly these d+1 points.
 
-    The flags are set without their checks, so a degenerate simplex reaches
-    the evaluator.
+    The factory checks the points first, so a degenerate simplex raises
+    ``ValidationError`` before any colour is computed.
     """
-    inst = PointInstance(dim=len(points[0]), points=tuple(as_point(p) for p in points),
-                         no_hyperplane=True, no_sphere=True)
-    return factory(inst).evaluator(tuple(range(len(points))))
+    return factory(instance(points)).evaluator(tuple(range(len(points))))
 
 
 def rational_triangle(rng, bound=50):
@@ -75,7 +74,8 @@ def test_squared_volume_corner_simplices():
 
 
 def test_squared_volume_degenerate():
-    assert simplex_colour(volume_colouring, [(0, 0), (1, 1), (2, 2)]) == 0
+    with pytest.raises(ValidationError, match=re.escape("points [0, 1, 2] lie on a hyperplane")):
+        simplex_colour(volume_colouring, [(0, 0), (1, 1), (2, 2)])
 
 
 def test_squared_volume_invariances():
@@ -99,7 +99,12 @@ def test_squared_volume_invariances():
 @example(points=[(0, 0), (1, 1), (2, 2)])
 @example(points=[(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 5)])
 def test_squared_volume_matches_leibniz_oracle(points):
-    assert simplex_colour(volume_colouring, points) == simplex_squared_volume(points)
+    expected = simplex_squared_volume(points)
+    if expected == 0:
+        with pytest.raises(ValidationError):
+            simplex_colour(volume_colouring, points)
+    else:
+        assert simplex_colour(volume_colouring, points) == expected
 
 
 # ------------------------------------------------------- circumradius
@@ -115,7 +120,7 @@ def test_circumradius_isoceles():
 
 
 def test_circumradius_collinear_rejected():
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(ValidationError, match=re.escape("points [0, 1, 2] lie on a hyperplane")):
         simplex_colour(circumradius_colouring, [(0, 0), (1, 1), (2, 2)])
 
 
@@ -150,7 +155,7 @@ def test_circumradius_is_distance_to_solved_centre(points):
     # the centre is unique iff the points are affinely independent
     expected = simplex_squared_circumradius(points)
     if expected is None:
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(ValidationError):
             simplex_colour(circumradius_colouring, points)
     else:
         assert simplex_colour(circumradius_colouring, points) == expected
@@ -211,8 +216,7 @@ def test_violations_match_determinant_oracle(points):
 
 def similarity_key(points) -> bytes:
     """Key of the triangle's similarity class, read from the similarity colouring."""
-    inst = PointInstance(dim=2, points=tuple(as_point(p) for p in points))
-    return canonical_key(similarity_colouring(inst.validate(sphere=False)).evaluator((0, 1, 2)))
+    return canonical_key(simplex_colour(similarity_colouring, points))
 
 
 def test_similarity_permutation_invariance():
@@ -240,11 +244,10 @@ def test_similarity_distinguishes_shapes():
 
 
 def test_similarity_degenerate_rejected():
-    # the flag is set without the check, so the evaluator meets the collinear triple
-    collinear = PointInstance(dim=2, points=tuple(as_point(p) for p in [(0, 0), (1, 1), (3, 3)]),
-                              no_hyperplane=True)
-    with pytest.raises(DegenerateInputError):
-        similarity_colouring(collinear).evaluator((0, 1, 2))
+    # refused when the colouring is made, before the evaluator meets the collinear triple
+    collinear = instance([(0, 0), (1, 1), (3, 3)])
+    with pytest.raises(ValidationError, match=re.escape("points [0, 1, 2] lie on a hyperplane")):
+        similarity_colouring(collinear)
 
 
 # --------------------------------------------------------- validators
@@ -305,35 +308,42 @@ def test_no_sphere_vacuous():
 
 
 def test_validators_refuse_over_budget_before_computing():
-    # coordinates that admit no arithmetic: the refusal must come first
+    # coordinates that admit no arithmetic: the refusal must come first.  The
+    # budget counts direction hashes: C(n, d) for the hyperplane check and
+    # C(n, d+1) for the sphere check
     untouchable = PointInstance(dim=2, points=tuple((str(i), "y") for i in range(8)))
     with pytest.raises(BudgetError) as err:
-        find_hyperplane_violation(untouchable, budget=math.comb(8, 3) - 1)
-    assert str(err.value) == "verify layer: hyperplane check needs 56 subsets; budget is 55"
+        find_hyperplane_violation(untouchable, budget=math.comb(8, 2) - 1)
+    assert str(err.value) == "verify layer: hyperplane check needs 28 direction hashes; budget is 27"
     with pytest.raises(BudgetError) as err:
-        find_sphere_violation(untouchable, budget=math.comb(8, 4) - 1)
-    assert str(err.value) == "verify layer: sphere check needs 70 subsets; budget is 69"
+        find_sphere_violation(untouchable, budget=math.comb(8, 3) - 1)
+    assert str(err.value) == "verify layer: sphere check needs 56 direction hashes; budget is 55"
 
-    bare = PointInstance(dim=2, points=generate_general_position(8, 2, seed=0).points)
+    points = generate_general_position(8, 2, seed=0)
+    for factory in (circumradius_colouring, volume_colouring, similarity_colouring):
+        with pytest.raises(BudgetError) as err:
+            factory(points, budget=math.comb(8, 2) - 1)
+        assert str(err.value) == (
+            "verify layer: hyperplane check needs 28 direction hashes; budget is 27")
     with pytest.raises(BudgetError) as err:
-        bare.validate(budget=math.comb(8, 3) - 1)
-    assert str(err.value) == "verify layer: hyperplane check needs 56 subsets; budget is 55"
-    with pytest.raises(BudgetError) as err:
-        bare.validate(budget=math.comb(8, 4) - 1)
-    assert str(err.value) == "verify layer: sphere check needs 70 subsets; budget is 69"
-    assert bare.validate(budget=math.comb(8, 4)).no_sphere
+        circumradius_colouring(points, budget=math.comb(8, 3) - 1)
+    assert str(err.value) == "verify layer: sphere check needs 56 direction hashes; budget is 55"
+    circumradius_colouring(points, budget=math.comb(8, 3))
+    volume_colouring(points, budget=math.comb(8, 2))
+    similarity_colouring(points, budget=math.comb(8, 2))
 
 
-def test_validate_flags_and_errors():
-    square = PointInstance(dim=2, points=(
-        (Fraction(0), Fraction(0)),
-        (Fraction(1), Fraction(0)),
-        (Fraction(1), Fraction(1)),
-        (Fraction(0), Fraction(1)),
-    ))
-    flagged = square.validate(sphere=False)
-    assert flagged.no_hyperplane and not flagged.no_sphere
-    with pytest.raises(ValidationError):
+def test_validation_budget_counts_direction_hashes_not_subsets():
+    # C(30, 4) = 27 405 subsets for the sphere check, but C(30, 3) = 4 060 hashes
+    points = generate_general_position(30, 2, seed=0)
+    colouring = circumradius_colouring(points, budget=math.comb(30, 3))
+    assert colouring.evaluator((0, 1, 2)) == simplex_squared_circumradius(points.points[:3])
+
+
+def test_validate_returns_the_instance_or_refuses():
+    square = instance([(0, 0), (1, 0), (1, 1), (0, 1)])
+    assert square.validate(sphere=False) is square
+    with pytest.raises(ValidationError, match=re.escape("points [0, 1, 2, 3] lie on a sphere")):
         square.validate(sphere=True)
 
 
@@ -350,7 +360,8 @@ def test_instance_refuses_floats_and_bools():
         PointInstance(dim=1, points=((0.5,), (1,)))
     with pytest.raises(ParameterError, match="bool True is not an exact number"):
         PointInstance(dim=2, points=((0, 0), (True, 2)))
-    assert PointInstance(dim=1, points=((Fraction(1, 2),), (1,))).validate().no_sphere
+    exact = PointInstance(dim=1, points=((Fraction(1, 2),), (1,)))
+    assert exact.validate() is exact
 
 
 # ---------------------------------------------------------- generator
@@ -359,7 +370,7 @@ def test_instance_refuses_floats_and_bools():
 def test_generate_single_point():
     inst = generate_general_position(1, 2, seed=0)
     assert len(inst) == 1
-    assert inst.no_hyperplane and inst.no_sphere
+    assert inst.validate() is inst
 
 
 def test_generate_revalidates():
@@ -446,17 +457,57 @@ def test_generate_parameter_errors():
 # --------------------------------------------------------- colourings
 
 
-def test_colourings_require_flags():
+def test_colourings_check_their_own_points():
+    # generated points need no validate() call
     inst = generate_general_position(5, 2, seed=2)
-    bare = PointInstance(dim=2, points=inst.points)
     for factory in (circumradius_colouring, volume_colouring, similarity_colouring):
-        with pytest.raises(ValidationError):
-            factory(bare)
-    hyper_only = bare.validate(sphere=False)
-    with pytest.raises(ValidationError):
-        circumradius_colouring(hyper_only)
-    volume_colouring(hyper_only)
-    similarity_colouring(hyper_only)
+        factory(inst)
+    collinear = instance([(0, 0), (3, 1), (1, 1), (2, 2)])
+    for factory in (circumradius_colouring, volume_colouring, similarity_colouring):
+        with pytest.raises(ValidationError, match=re.escape(
+                "points [0, 2, 3] lie on a hyperplane: (0, 0); (1, 1); (2, 2)")):
+            factory(collinear)
+    # only the circumradius colouring needs no four points on a circle
+    square = instance([(0, 0), (1, 0), (1, 1), (0, 1)])
+    with pytest.raises(ValidationError, match=re.escape("points [0, 1, 2, 3] lie on a sphere")):
+        circumradius_colouring(square)
+    volume_colouring(square)
+    similarity_colouring(square)
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=point_lists(0, 2))
+@example(points=[(0, 0), (1, 0), (1, 1), (0, 1)])  # concyclic: only circumradius refuses
+@example(points=[(0, 0), (1, 1), (2, 2), (0, 1)])  # collinear: all three refuse
+@example(points=[(0,), (1,), (3,)])
+@example(points=[(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+def test_colourings_refuse_exactly_the_oracle_witnesses(points):
+    # each factory refuses the first witness the determinant oracle names;
+    # otherwise every colour matches the independent oracles
+    hyperplane, sphere = general_position_witnesses(points)
+    inst = instance(points)
+    simplices = {e: [points[i] for i in e]
+                 for e in combinations(range(len(points)), inst.dim + 1)}
+    refusals = {
+        volume_colouring: (hyperplane, "hyperplane"),
+        similarity_colouring: (hyperplane, "hyperplane"),
+        circumradius_colouring: (hyperplane, "hyperplane") if hyperplane else (sphere, "sphere"),
+    }
+    for factory, (witness, shape) in refusals.items():
+        if witness is not None:
+            with pytest.raises(ValidationError,
+                               match=re.escape(f"points {list(witness)} lie on a {shape}")):
+                factory(inst)
+    if hyperplane is not None:
+        return
+    volume = volume_colouring(inst).evaluator
+    assert all(volume(e) == simplex_squared_volume(s) for e, s in simplices.items())
+    similarity = similarity_colouring(inst).evaluator
+    for (e1, s1), (e2, s2) in combinations(simplices.items(), 2):
+        assert (similarity(e1) == similarity(e2)) == similar_simplices(s1, s2)
+    if sphere is None:
+        radius = circumradius_colouring(inst).evaluator
+        assert all(radius(e) == simplex_squared_circumradius(s) for e, s in simplices.items())
 
 
 def test_colouring_specs():
@@ -515,6 +566,5 @@ def test_points_json_roundtrip():
     obj = points_to_obj(inst)
     assert obj["type"] == "points"
     back = points_from_obj(obj)
-    assert back.points == inst.points
-    assert not back.no_hyperplane  # flags must be re-earned
+    assert back == inst
     assert points_to_obj(back) == obj
