@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 
-from .errors import ParameterError, ValidationError, require_exact
+from .errors import ParameterError, ValidationError, require_array, require_exact
 from .hypergraph import Colouring, ColouringSpec
 
 RATIONALS = "Q"
@@ -140,33 +140,25 @@ class SymPoly:
 
 @dataclass(frozen=True)
 class PolyGround:
-    """A ground set prepared for polynomial colouring.
-
-    ``kept`` are the usable values and ``removed`` the values where the
-    polynomial's pivot coefficient polynomial q_pivot vanishes.
-    """
+    """A ground set prepared for polynomial colouring: ``kept`` are the usable values."""
 
     poly: SymPoly
     kept: tuple
-    removed: tuple
 
 
 def poly_prepare(poly: SymPoly, values) -> PolyGround:
     """Drop the values where the pivot coefficient polynomial vanishes.
 
-    The removed set is the zero set of q_pivot (see ``SymPoly``) inside the
-    input, so it has at most deg(q_pivot) <= degree - 1 elements; for every
-    kept value y0, p(x, y0) is a nonconstant polynomial in x of degree at
-    most the total degree, which is what bounds the petals of the colouring.
-    q_pivot is evaluated once per value.
+    The dropped values are the zero set of q_pivot (see ``SymPoly``) inside
+    the input, so there are at most deg(q_pivot) <= degree - 1 of them; for
+    every kept value y0, p(x, y0) is a nonconstant polynomial in x of degree
+    at most the total degree, which is what bounds the petals of the
+    colouring.  q_pivot is evaluated once per value.
     """
     elements = [poly.element(v) for v in values]
     if len(set(elements)) != len(elements):
         raise ParameterError("ground values must be distinct in the field")
-    kept, removed = [], []
-    for v in elements:
-        (removed if poly.vanishes(v) else kept).append(v)
-    return PolyGround(poly=poly, kept=tuple(kept), removed=tuple(removed))
+    return PolyGround(poly=poly, kept=tuple(v for v in elements if not poly.vanishes(v)))
 
 
 def poly_colouring(prepared: PolyGround) -> Colouring:
@@ -236,7 +228,8 @@ def integers_to_obj(inst: IntegerInstance) -> dict:
 def integers_from_obj(obj: dict) -> IntegerInstance:
     if obj.get("type") != "integers":
         raise ParameterError(f"expected an integers instance, got type={obj.get('type')!r}")
-    return IntegerInstance(values=tuple(int(require_exact(v)) for v in obj["values"]))
+    values = require_array(obj["values"])
+    return IntegerInstance(values=tuple(int(require_exact(v)) for v in values))
 
 
 def sympoly_from_obj(obj: dict) -> SymPoly:
@@ -246,7 +239,7 @@ def sympoly_from_obj(obj: dict) -> SymPoly:
     if field != "Q":
         field = int(require_exact(field["GF"]))
     coeffs: dict[tuple[int, int], object] = {}
-    for i, j, c in obj["coeffs"]:
+    for i, j, c in (require_array(term, 3) for term in require_array(obj["coeffs"])):
         value = (Fraction if field == "Q" else int)(require_exact(c))
         key = (int(require_exact(i)), int(require_exact(j)))
         if key in coeffs and coeffs[key] != value:

@@ -144,24 +144,23 @@ def _result_csv(result: engine.RainbowResult, labels: list) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _cmd_find(args, forced_algorithm: str | None = None) -> int:
+def _cmd_find(args) -> int:
     instance = _load_instance(args.instance)
     colouring, labels = _setup_colouring(instance, args.colouring, args.poly, args.budget)
-    algorithm = (forced_algorithm or args.algorithm).replace("-", "_")
+    algorithm = args.algorithm.replace("-", "_")
     if algorithm == "exact" and args.limit is not None:
         require_budget(len(labels), args.limit, "search",
                        f"the exact oracle for k={colouring.spec.k}", "vertices")
     result = engine.run_algorithm(colouring, GroundSet(len(labels)), algorithm, args.seed,
-                                  shrink=args.shrink, p=args.p, budget=args.budget)
+                                  p=args.p, budget=args.budget)
     text = (_result_csv(result, labels) if args.format == "csv"
             else _dump_json(_result_obj(result, labels)))
     if args.out:
         _write(args.out, text)
         _write_manifest(args.out, {
             "command": "find", "instance": args.instance, "colouring": args.colouring,
-            "poly": args.poly, "algorithm": algorithm, "seed": args.seed,
-            "shrink": args.shrink, "p": args.p, "limit": args.limit,
-            "budget": args.budget, "format": args.format, "out": args.out,
+            "poly": args.poly, "algorithm": algorithm, "seed": args.seed, "p": args.p,
+            "limit": args.limit, "budget": args.budget, "format": args.format, "out": args.out,
         })
     else:
         sys.stdout.write(text)
@@ -228,10 +227,12 @@ def _cmd_bench(args) -> int:
                                             engine.derive_seed(args.seed, 1_000_000 + index))
         ground, spec = GroundSet(len(labels)), colouring.spec
         for algorithm in algorithms:
+            result = None
             for trial in range(args.trials):
                 seed = engine.derive_seed(args.seed, trial)
-                result = engine.run_algorithm(colouring, ground, algorithm, seed,
-                                              budget=args.budget)
+                if result is None or result.seed is not None:  # a seedless answer never varies
+                    result = engine.run_algorithm(colouring, ground, algorithm, seed,
+                                                  budget=args.budget)
                 rows.append(f"{ground.n},{spec.k},{spec.h},{spec.max_petals},{colouring.label},"
                             f"{algorithm},{trial},{seed},{result.size},{result.runtime_ms:.3f}")
                 print(f"N={ground.n} algorithm={algorithm} trial={trial} "
@@ -294,32 +295,32 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_generate)
 
-    def add_common(p, with_algorithm: bool):
+    def add_common(p, finds: bool):
         p.add_argument("--instance", required=True)
         p.add_argument("--colouring", required=True,
                        choices=POINT_COLOURINGS + INTEGER_COLOURINGS)
         p.add_argument("--poly", default=None, help="sympoly JSON for the poly colouring")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         p.add_argument("--out", default=None)
-        if with_algorithm:
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--shrink", type=float, default=0.5)
-            p.add_argument("--p", type=float, default=None)
+        if finds:
             p.add_argument("--limit", type=int, default=None,
                            help="optional vertex cap for the exact oracle")
             p.add_argument("--format", choices=("json", "csv"), default="json")
 
     find = sub.add_parser("find", help="extract a verified rainbow subset")
-    add_common(find, with_algorithm=True)
+    add_common(find, finds=True)
     find.add_argument("--algorithm", choices=ALGORITHMS, default="greedy")
+    find.add_argument("--seed", type=int, default=0)
+    find.add_argument("--p", type=float, default=None, help="sample-delete's keep-probability")
     find.set_defaults(func=_cmd_find)
 
-    oracle = sub.add_parser("oracle", help="find with the exact branch-and-bound oracle")
-    add_common(oracle, with_algorithm=True)
-    oracle.set_defaults(func=lambda a: _cmd_find(a, forced_algorithm="exact"))
+    oracle = sub.add_parser("oracle", help="find with the exact branch-and-bound oracle",
+                            allow_abbrev=False)  # else --p would pass as --poly
+    add_common(oracle, finds=True)
+    oracle.set_defaults(func=_cmd_find, algorithm="exact", seed=None, p=None)
 
     audit = sub.add_parser("audit", help="report the worst monochromatic sunflower")
-    add_common(audit, with_algorithm=False)
+    add_common(audit, finds=False)
     audit.set_defaults(func=_cmd_audit)
 
     bench = sub.add_parser("bench", help="seeded trials over a grid of ground sizes")

@@ -56,18 +56,15 @@ class SamplePlan:
             raise ParameterError(f"sampling probability must be in (0, 1], got {self.p}")
 
     @classmethod
-    def from_spec(cls, n: int, k: int, h: int, seed: int, shrink: float = 0.5,
+    def from_spec(cls, n: int, k: int, h: int, seed: int,
                   p: float | None = None) -> "SamplePlan":
         """The plan for n vertices and a (k, h) colouring, unless p is given.
 
-        The default keep-probability is shrink * n^(-(k+h-1)/(2k-1)), the
-        point where surviving conflicts become rare enough to delete by hand,
-        nudged down by the shrink factor.
+        The default keep-probability is 0.5 * n^(-(k+h-1)/(2k-1)), half the
+        point where surviving conflicts become rare enough to delete by hand.
         """
-        if not 0 < shrink <= 1:
-            raise ParameterError(f"shrink must be in (0, 1], got {shrink}")
         if p is None:
-            p = min(1.0, shrink * n ** (-(k + h - 1) / (2 * k - 1)))
+            p = 0.5 * n ** (-(k + h - 1) / (2 * k - 1))
         return cls(p=p, seed=seed)
 
 
@@ -195,12 +192,10 @@ def sample_and_delete(colouring: Colouring, ground: GroundSet, plan: SamplePlan,
                                            vertices=sorted(kept))
     pairs_after_sampling = hypergraph.num_pairs
 
-    deleted = 0
     while hypergraph.num_pairs:
         degrees = hypergraph.pair_degrees()
         victim = degrees.index(max(degrees))
         kept.discard(victim)
-        deleted += 1
         hypergraph = hypergraph.without(victim)
 
     subset = tuple(sorted(kept))
@@ -211,7 +206,7 @@ def sample_and_delete(colouring: Colouring, ground: GroundSet, plan: SamplePlan,
         "pairs_after_sampling": pairs_after_sampling,
         "pairs_destroyed_by_sampling": pairs_total - pairs_after_sampling,
         "vertices_kept_after_sampling": kept_after_sampling,
-        "vertices_deleted_by_hand": deleted,
+        "vertices_deleted_by_hand": kept_after_sampling - len(kept),
     }
     return RainbowResult(subset, "sample_delete", plan.seed, verified, stats, runtime_ms)
 
@@ -318,14 +313,12 @@ def estimate_exponent(by_n: dict[int, list[int]]) -> ExponentFit:
 
 
 def run_algorithm(colouring: Colouring, ground: GroundSet, algorithm: str, seed: int,
-                  shrink: float = 0.5, p: float | None = None,
-                  budget: int = DEFAULT_BUDGET) -> RainbowResult:
+                  p: float | None = None, budget: int = DEFAULT_BUDGET) -> RainbowResult:
     """Dispatch one seeded run of a named algorithm."""
     if algorithm == "greedy":
         return greedy_rainbow(colouring, ground, order=seed, budget=budget)
     if algorithm == "sample_delete":
-        plan = SamplePlan.from_spec(ground.n, colouring.spec.k, colouring.spec.h, seed=seed,
-                                    shrink=shrink, p=p)
+        plan = SamplePlan.from_spec(ground.n, colouring.spec.k, colouring.spec.h, seed=seed, p=p)
         return sample_and_delete(colouring, ground, plan, budget=budget)
     if algorithm == "exact":
         return exact_max_rainbow(colouring, ground, budget=budget)

@@ -39,5 +39,17 @@ def require_exact(value):
     return value
 
 
+def require_array(value, length: int | None = None) -> list:
+    """``value`` itself, if it is a JSON array, of ``length`` items when that is given.
+
+    Python iterates a string or an object as if it were a list, so file
+    readers pass every array of their format through here.
+    """
+    if not isinstance(value, list) or length not in (None, len(value)):
+        items = "" if length is None else f" of {length} items"
+        raise ParameterError(f"expected a JSON array{items}, got {value!r:.60}")
+    return value
+
+
 class ValidationError(ValueError):
     """An instance fails the validity requirements of a colouring."""

@@ -14,7 +14,8 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, combinations, permutations
 
-from .errors import BudgetError, ParameterError, ValidationError, require_budget, require_exact
+from .errors import (BudgetError, ParameterError, ValidationError, require_array, require_budget,
+                     require_exact)
 from .hypergraph import DEFAULT_BUDGET, Colouring, ColouringSpec
 
 Point = tuple[Fraction, ...]
@@ -328,7 +329,8 @@ def points_from_obj(obj: dict) -> PointInstance:
         raise ParameterError(f"expected a points instance, got type={obj.get('type')!r}")
     dim = int(require_exact(obj["d"]))
     points = tuple(
-        tuple(Fraction(int(require_exact(num)), int(require_exact(den))) for num, den in p)
-        for p in obj["coords"]
+        tuple(Fraction(int(require_exact(num)), int(require_exact(den)))
+              for num, den in (require_array(c, 2) for c in require_array(p)))
+        for p in require_array(obj["coords"])
     )
     return PointInstance(dim=dim, points=points)

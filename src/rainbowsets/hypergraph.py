@@ -157,8 +157,8 @@ def _colours_within_budget(colouring: Colouring, ground: GroundSet, vertices, bu
 
 def colour_classes(
     colouring: Colouring, ground: GroundSet, budget: int = DEFAULT_BUDGET, vertices=None
-) -> dict[bytes, list[tuple[int, ...]]]:
-    """Group every k-subset of ``vertices`` by its colour value, keying each class once.
+) -> dict[object, list[tuple[int, ...]]]:
+    """Group every k-subset of ``vertices`` by its checked colour value, in order of first edge.
 
     ``vertices`` is an ascending sequence of ground-set ids and defaults to
     the whole ground set.
@@ -169,19 +169,15 @@ def colour_classes(
     classes: dict[object, list[tuple[int, ...]]] = defaultdict(list)
     for value, e in zip(colours, combinations(vertices, colouring.spec.k)):
         classes[value].append(e)
-    return {canonical_key(value): edges for value, edges in classes.items()}
+    return dict(classes)
 
 
 def colour_class_sizes(
     colouring: Colouring, ground: GroundSet, budget: int = DEFAULT_BUDGET
 ) -> Counter:
-    """Size of every colour class of the ground set, keyed as in ``colour_classes``.
-
-    No edge is stored: the checked colours are counted by value.
-    """
-    colours = _colours_within_budget(colouring, ground, ground.vertices, budget,
-                                     "colour_class_sizes")
-    return Counter({canonical_key(value): size for value, size in Counter(colours).items()})
+    """Size of every colour class of the ground set, by colour value; no edge is stored."""
+    return Counter(_colours_within_budget(colouring, ground, ground.vertices, budget,
+                                          "colour_class_sizes"))
 
 
 def max_monochromatic_sunflower(
@@ -194,17 +190,17 @@ def max_monochromatic_sunflower(
     colour) pair, with the class's edges through that core, in class order,
     as witnesses.  For h = 0 the core is empty and the petal count is the
     size of the largest colour class.
-    Deterministic: colour classes are scanned in key order, and a class
-    replaces the incumbent only with strictly more petals, at its smallest
-    core with that many.
+    Deterministic: colour classes are scanned in the order of their
+    canonical keys, which the report names, and a class replaces the
+    incumbent only with strictly more petals, at its smallest core with that
+    many.
     """
     k, h = colouring.spec.k, colouring.spec.h
     require_budget(math.comb(ground.n, k) * math.comb(k, h), budget, "verify", "sunflower audit",
                    "(edge, core) incidences")
     classes = colour_classes(colouring, ground, budget=budget)
     best: SunflowerReport | None = None
-    for key in sorted(classes):
-        edges = classes[key]
+    for key, edges in sorted((canonical_key(value), edges) for value, edges in classes.items()):
         if best is not None and len(edges) <= best.petals:
             continue
         cores = Counter(chain.from_iterable(map(combinations, edges, repeat(h))))

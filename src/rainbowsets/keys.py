@@ -4,9 +4,11 @@ Colour evaluators return exact Python values (int, Fraction, str, bytes, or
 tuples of these); ``canonical_key`` serializes them so that two values are
 equal exactly when their keys are byte-identical, and refuses a float or a
 bool.  ``hypergraph.Colouring.colours`` checks every colour of a whole-set
-pass with it, so those passes compare raw values and key each class once.
-Numbers are keyed by value, so an ``int`` or ``Fraction`` subclass shares
-the key of the equal plain number whatever its ``str`` says.
+pass with it, so those passes group and count the raw values; only the
+sunflower audit keys its classes, to scan them in key order and name the
+worst one's colour.  Numbers are keyed by value, so an ``int`` or
+``Fraction`` subclass shares the key of the equal plain number whatever its
+``str`` says.
 """
 
 from fractions import Fraction

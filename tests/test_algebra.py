@@ -1,3 +1,4 @@
+import dataclasses
 from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations
@@ -92,22 +93,20 @@ def test_is_prime():
 def test_prepare_x_plus_y():
     prep = poly_prepare(SymPoly("Q", X_PLUS_Y), [1, 2, 3, 4])
     assert prep.poly.pivot_power == 1
-    assert prep.removed == ()
     assert prep.kept == (1, 2, 3, 4)
+    assert [f.name for f in dataclasses.fields(prep)] == ["poly", "kept"]
 
 
 def test_prepare_xy_drops_zero():
     prep = poly_prepare(SymPoly("Q", XY), [0, 1, 2])
     assert prep.poly.pivot_power == 1
-    assert prep.removed == (0,)
-    assert prep.kept == (1, 2)
+    assert prep.kept == (1, 2)  # 0 dropped
 
 
 def test_prepare_x2y_plus_xy2():
     prep = poly_prepare(SymPoly("Q", X2Y_PLUS_XY2), [-1, 0, 1, 2])
     assert prep.poly.pivot_power == 1  # q_1(y) = y^2
-    assert prep.removed == (0,)
-    assert prep.kept == (-1, 1, 2)
+    assert prep.kept == (-1, 1, 2)  # 0 dropped
 
 
 @pytest.mark.parametrize("field, sign, values, kept, removed", [
@@ -120,7 +119,7 @@ def test_prepare_pivot_power_two(field, sign, values, kept, removed):
     prep = poly_prepare(poly, list(values))
     assert poly.pivot_power == 2
     assert prep.kept == kept
-    assert prep.removed == removed
+    assert sorted(set(values) - set(prep.kept)) == list(removed)
 
 
 def test_prepare_zero_set_is_small():
@@ -141,8 +140,9 @@ def test_prepare_zero_set_is_small():
             poly = SymPoly("Q", coeffs)
         except ParameterError:
             continue
-        prep = poly_prepare(poly, list(range(-10, 11)))
-        assert len(prep.removed) <= poly.degree
+        values = list(range(-10, 11))
+        prep = poly_prepare(poly, values)
+        assert len(values) - len(prep.kept) <= poly.degree
 
 
 def test_prepare_rejects_duplicates():
@@ -178,7 +178,7 @@ def test_poly_colouring_symmetric_keys():
 
 def test_poly_colouring_rejects_unprepared():
     poly = SymPoly("Q", XY)
-    fake = PolyGround(poly=poly, kept=(Fraction(0), Fraction(1)), removed=())
+    fake = PolyGround(poly=poly, kept=(Fraction(0), Fraction(1)))
     with pytest.raises(ValidationError):
         poly_colouring(fake)
 

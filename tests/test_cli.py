@@ -11,7 +11,7 @@ import pytest
 
 from helpers import is_sidon, spiral_coords
 import rainbowsets
-from rainbowsets import cli
+from rainbowsets import cli, engine
 from rainbowsets.algebra import IntegerInstance, integers_to_obj
 from rainbowsets.engine import derive_seed, exact_max_rainbow
 from rainbowsets.geometry import PointInstance, points_from_obj, points_to_obj
@@ -257,6 +257,32 @@ def test_oracle_alias(tmp_path):
     assert result["size"] == 3
 
 
+@pytest.mark.parametrize("option", [["oracle", "--seed", "5"], ["oracle", "--shrink", "0.1"],
+                                    ["oracle", "--p", "0.3"], ["find", "--shrink", "0.5"]],
+                         ids=["oracle-seed", "oracle-shrink", "oracle-p", "find-shrink"])
+def test_options_nothing_reads_are_refused(tmp_path, capsys, option):
+    # the oracle takes no seed and no sampling probability, and --p is the one sampling knob
+    inst = tmp_path / "ints.json"
+    run("generate", "integers-range", "--n", "6", "--out", str(inst))
+    out = tmp_path / "r.json"
+    command, *rest = option
+    assert run(command, "--instance", str(inst), "--colouring", "sidon", *rest,
+               "--out", str(out)) == 2
+    assert "unrecognized arguments: " + " ".join(rest) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_oracle_manifest_records_no_seed_or_p(tmp_path):
+    inst = tmp_path / "ints.json"
+    run("generate", "integers-range", "--n", "6", "--out", str(inst))
+    out = tmp_path / "r.json"
+    assert run("oracle", "--instance", str(inst), "--colouring", "sidon", "--limit", "6",
+               "--out", str(out)) == 0
+    text = Path(f"{out}.manifest.json").read_text()
+    assert '"algorithm":"exact","seed":null,"p":null,"limit":6,' in text
+    assert "shrink" not in json.loads(text)
+
+
 def test_oracle_refuses_by_nodes_not_vertices(tmp_path, capsys):
     # no vertex cap: 30 values answer within the default budget of nodes
     inst = tmp_path / "ints.json"
@@ -372,6 +398,33 @@ def test_bench_poly_exact_runs_every_grid_size(tmp_path):
     assert set(report["fits"]) == {"greedy", "sample_delete", "exact"}
     assert report["fits"]["exact"]["slope"] > 0
     assert report["medians"]["exact"] == {"9": 9, "13": 13, "17": 17, "21": 20}
+
+
+def test_bench_runs_the_seedless_oracle_once_per_size(tmp_path, capsys, monkeypatch):
+    # the exact oracle takes no seed, so each grid size searches once and its
+    # answer fills every trial's row
+    calls = []
+    search = engine.exact_max_rainbow
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].n)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "exact_max_rainbow", counted)
+    out = tmp_path / "bench.csv"
+    assert run("bench", "--colouring", "sidon", "--grid", "10,12,14,16",
+               "--algorithms", "greedy,exact", "--trials", "3", "--seed", "4",
+               "--out", str(out)) == 2  # slopes outside the default band
+    assert calls == [10, 12, 14, 16]
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 4 * 2 * 3
+    exact = [row for row in rows if row[5] == "exact"]
+    assert [row[6] for row in exact] == ["0", "1", "2"] * 4
+    for i in range(0, 12, 3):  # one search per N: one size and one runtime in its three rows
+        assert len({(row[8], row[9]) for row in exact[i:i + 3]}) == 1
+    report = json.loads((tmp_path / "bench.csv.report.json").read_text())
+    assert report["medians"]["exact"] == {"10": 4, "12": 5, "14": 5, "16": 5}  # Golomb rulers
+    assert capsys.readouterr().err.count("algorithm=exact trial=") == 12
 
 
 def test_bench_reports_the_fits_it_can_make(tmp_path, capsys):
@@ -608,10 +661,10 @@ def test_run_reproducible_from_manifest(tmp_path):
         "--algorithm", "sample-delete", "--seed", "5", "--out", str(result))
     result_bytes = result.read_bytes()
     m2 = json.loads((tmp_path / "res.json.manifest.json").read_text())
+    assert "shrink" not in m2 and m2["p"] is None  # the default p is a function of N alone
     replay2 = tmp_path / "res2.json"
     argv = ["find", "--instance", m2["instance"], "--colouring", m2["colouring"],
-            "--algorithm", m2["algorithm"].replace("_", "-"),
-            "--seed", str(m2["seed"]), "--shrink", str(m2["shrink"]),
+            "--algorithm", m2["algorithm"].replace("_", "-"), "--seed", str(m2["seed"]),
             "--budget", str(m2["budget"]), "--format", m2["format"],
             "--out", str(replay2)]
     assert run(*argv) == 0
@@ -658,6 +711,40 @@ def test_malformed_poly_is_parameter_error(tmp_path, capsys, body):
 
 
 INTS_1_TO_10 = json.dumps(integers_to_obj(IntegerInstance(values=tuple(range(1, 11)))))
+
+
+@pytest.mark.parametrize("command, instance, poly, colouring, expected", [
+    ("find", '{"type": "integers", "values": "1357"}', None, "sidon", "a JSON array, got '1357'"),
+    ("find", '{"type": "integers", "values": {"5": 1, "9": 2}}', None, "sidon",
+     "a JSON array, got {'5': 1, '9': 2}"),
+    ("find", '{"type": "points", "d": 1, "coords": [["12"], ["13"], ["35"]]}', None, "volume",
+     "a JSON array of 2 items, got '12'"),
+    ("find", '{"type": "points", "d": 1, "coords": "[[1, 2]]"}', None, "volume",
+     "a JSON array, got '[[1, 2]]'"),
+    ("find", '{"type": "points", "d": 1, "coords": [[["1", "2", "3"]], [["1", "3"]]]}', None,
+     "volume", "a JSON array of 2 items, got ['1', '2', '3']"),
+    ("audit", INTS_1_TO_10, '{"type": "sympoly", "field": "Q", "degree": 2, '
+     '"coeffs": ["201", "021"]}', "poly", "a JSON array of 3 items, got '201'"),
+    ("audit", INTS_1_TO_10, '{"type": "sympoly", "field": "Q", "degree": 2, '
+     '"coeffs": [[2, 0]]}', "poly", "a JSON array of 3 items, got [2, 0]"),
+], ids=["string-values", "object-values", "string-coordinate", "string-coords",
+        "long-coordinate", "string-terms", "short-term"])
+def test_arrays_must_be_json_arrays(tmp_path, capsys, command, instance, poly, colouring,
+                                    expected):
+    # Python iterates a string or an object like a list: "1357" would read as
+    # 1, 3, 5, 7, the coordinate "12" as 1/2 and the term "201" as 2 x^2
+    inst = tmp_path / "inst.json"
+    inst.write_text(instance)
+    argv = [command, "--instance", str(inst), "--colouring", colouring]
+    named = inst
+    if poly is not None:
+        named = tmp_path / "poly.json"
+        named.write_text(poly)
+        argv += ["--poly", str(named)]
+    out = tmp_path / "r.json"
+    assert run(*argv, "--out", str(out)) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"parameter error: {named}: expected {expected}\n"
 
 
 @pytest.mark.parametrize("instance, poly, colouring", [

@@ -116,8 +116,8 @@ def test_plan_default_probability():
     plan = SamplePlan.from_spec(100, 2, 1, seed=0)
     assert plan.p == pytest.approx(0.5 * 100 ** (-2 / 3))
     assert 0 < plan.p < 1
-    full = SamplePlan.from_spec(1, 2, 1, seed=0, shrink=1.0)
-    assert full.p == 1.0
+    # n^(-(k+h-1)/(2k-1)) is at most 1, so the default is at most one half
+    assert SamplePlan.from_spec(1, 2, 1, seed=0).p == 0.5
 
 
 def test_plan_validation():
@@ -126,9 +126,9 @@ def test_plan_validation():
     with pytest.raises(ParameterError):
         SamplePlan.from_spec(10, 2, 1, seed=0, p=1.5)
     with pytest.raises(ParameterError):
-        SamplePlan.from_spec(10, 2, 1, seed=0, shrink=0.0)
-    with pytest.raises(ParameterError):
-        SamplePlan.from_spec(10, 2, 1, seed=0, shrink=1.0001)
+        SamplePlan(p=1.0001, seed=0)
+    with pytest.raises(TypeError):  # the default probability has no second knob
+        SamplePlan.from_spec(10, 2, 1, seed=0, shrink=0.5)
 
 
 def test_sample_injective_p1_keeps_everything():
@@ -268,7 +268,7 @@ def test_sample_kept_pairs_refused_by_the_shared_builder():
 
 
 def test_sample_float_colours_raise_type_error():
-    # classes are keyed by canonical_key, which has no float encoding
+    # Colouring.colours checks each colour with canonical_key, which has no float encoding
     c = Colouring(ColouringSpec(2, 1, 1), lambda e: e[0] / 2, "halves")
     plan = SamplePlan.from_spec(6, 2, 1, seed=0, p=1.0)
     with pytest.raises(TypeError, match="no canonical key for float"):

@@ -61,9 +61,11 @@ def test_colour_classes_constant():
 
 
 def test_colour_classes_sidon_123():
+    # classes are grouped by colour value, in order of first edge, and not keyed
     c = sidon_colouring(IntegerInstance(values=(1, 2, 3)))
     classes = colour_classes(c, GroundSet(3))
-    assert classes == {b"1": [(0, 1), (1, 2)], b"2": [(0, 2)]}
+    assert classes == {1: [(0, 1), (1, 2)], 2: [(0, 2)]}
+    assert list(classes) == [1, 2] and type(classes) is dict
 
 
 def test_colour_classes_budget():
@@ -159,7 +161,11 @@ def test_number_subclasses_key_by_value(value, plain, key):
     assert value == plain
     assert canonical_key(value) == canonical_key(plain) == key
     c = Colouring(ColouringSpec(2, 1, 1), lambda e: value if e == (1, 3) else plain, "subclass")
-    assert colour_classes(c, GroundSet(4)) == {key: list(combinations(range(4), 2))}
+    classes = colour_classes(c, GroundSet(4))
+    assert classes == {plain: list(combinations(range(4), 2))}
+    assert [canonical_key(v) for v in classes] == [key]
+    assert colour_class_sizes(c, GroundSet(4)) == {plain: 6}
+    assert max_monochromatic_sunflower(c, GroundSet(4)).colour == key
     with pytest.raises(TypeError):
         canonical_key(True)
 
@@ -194,7 +200,10 @@ def test_class_sizes_match_keyed_count(seed, k, n, palette, odd, at):
         with pytest.raises(TypeError):
             colour_class_sizes(c, GroundSet(n))
     else:
-        assert colour_class_sizes(c, GroundSet(n)) == expected
+        sizes = colour_class_sizes(c, GroundSet(n))
+        keyed = {canonical_key(value): size for value, size in sizes.items()}
+        assert len(keyed) == len(sizes)  # no two counted values share a key
+        assert keyed == expected
 
 
 @pytest.mark.parametrize("odd_edge", [(0, 1), (2, 4), (3, 4)])
@@ -204,10 +213,12 @@ def test_class_sizes_merge_equal_numbers_only(odd_edge):
 
     edges = list(combinations(range(5), 2))
     others = [e for e in edges if e != odd_edge]
-    assert colour_class_sizes(colouring(Fraction(3)), GroundSet(5)) == {b"3": 10}
-    assert colour_classes(colouring(Fraction(3)), GroundSet(5)) == {b"3": edges}
-    assert colour_class_sizes(colouring("3"), GroundSet(5)) == {b"3": 9, b"s1:3": 1}
-    assert colour_classes(colouring("3"), GroundSet(5)) == {b"3": others, b"s1:3": [odd_edge]}
+    assert colour_class_sizes(colouring(Fraction(3)), GroundSet(5)) == {3: 10}
+    assert colour_classes(colouring(Fraction(3)), GroundSet(5)) == {3: edges}
+    assert colour_class_sizes(colouring("3"), GroundSet(5)) == {3: 9, "3": 1}
+    classes = colour_classes(colouring("3"), GroundSet(5))
+    assert classes == {3: others, "3": [odd_edge]}
+    assert sorted(map(canonical_key, classes)) == [b"3", b"s1:3"]
     for odd in (3.0, True, (3, (3.0,))):
         with pytest.raises(TypeError):
             colour_class_sizes(colouring(odd), GroundSet(5))
