@@ -204,7 +204,10 @@ class IntegerInstance:
 def sidon_colouring(inst: IntegerInstance) -> Colouring:
     """Colour pairs {x, y} by |x - y|; each difference repeats at most twice through a point.
 
-    The row form subtracts at C speed: the values increase, so no ``abs`` is needed.
+    The row form subtracts at C speed: the values increase, so no ``abs`` is
+    needed.  The star form reads the chosen values once; each candidate's
+    differences then meet ``used`` at C speed, stopping at the first clash,
+    and only a candidate that passes builds its set.
     """
     values = inst.values
     spec = ColouringSpec(k=2, h=1, max_petals=2)
@@ -217,7 +220,19 @@ def sidon_colouring(inst: IntegerInstance) -> Colouring:
         return chain.from_iterable(map(operator.sub, xs[i + 1:], repeat(x))
                                    for i, x in enumerate(xs))
 
-    return Colouring(spec=spec, evaluator=evaluator, label="sidon", rows=rows)
+    def star(chosen):
+        xs = list(map(values.__getitem__, chosen))
+
+        def new(v: int, used: set):
+            x = values[v]
+            if not used.isdisjoint(map(abs, map(operator.sub, repeat(x), xs))):
+                return None
+            differences = set(map(abs, map(operator.sub, repeat(x), xs)))
+            return differences if len(differences) == len(xs) else None
+
+        return new
+
+    return Colouring(spec=spec, evaluator=evaluator, label="sidon", rows=rows, star=star)
 
 
 def integers_to_obj(inst: IntegerInstance) -> dict:

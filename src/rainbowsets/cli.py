@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache
+from functools import cache, partial
 from statistics import median
 
 from . import algebra, engine, geometry
@@ -145,9 +145,14 @@ def _result_csv(result: engine.RainbowResult, labels: list) -> str:
 
 
 def _cmd_find(args) -> int:
+    algorithm = args.algorithm.replace("-", "_")
+    if args.p is not None and algorithm != "sample_delete":
+        raise ParameterError(f"--p is sample-delete's keep-probability; "
+                             f"{args.algorithm} reads none")
+    if args.limit is not None and algorithm != "exact":
+        raise ParameterError(f"--limit caps the exact oracle; {args.algorithm} reads none")
     instance = _load_instance(args.instance)
     colouring, labels = _setup_colouring(instance, args.colouring, args.poly, args.budget)
-    algorithm = args.algorithm.replace("-", "_")
     if algorithm == "exact" and args.limit is not None:
         require_budget(len(labels), args.limit, "search",
                        f"the exact oracle for k={colouring.spec.k}", "vertices")
@@ -279,13 +284,17 @@ def _cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no parser expands an abbreviation: else --p would pass as --poly, and
+    # bench's --algorithm as --algorithms
     parser = argparse.ArgumentParser(
         prog="rainbowsets",
         description="Find large rainbow subsets of edge-coloured complete hypergraphs.",
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = partial(parser.add_subparsers(dest="command", required=True).add_parser,
+                         allow_abbrev=False)
 
-    gen = sub.add_parser("generate", help="write an instance file plus its manifest")
+    gen = add_parser("generate", help="write an instance file plus its manifest")
     gen.add_argument("kind", choices=("points", "integers-range", "integers-random"))
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--d", type=int, default=2, help="dimension for points")
@@ -307,23 +316,22 @@ def build_parser() -> argparse.ArgumentParser:
                            help="optional vertex cap for the exact oracle")
             p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    find = sub.add_parser("find", help="extract a verified rainbow subset")
+    find = add_parser("find", help="extract a verified rainbow subset")
     add_common(find, finds=True)
     find.add_argument("--algorithm", choices=ALGORITHMS, default="greedy")
     find.add_argument("--seed", type=int, default=0)
     find.add_argument("--p", type=float, default=None, help="sample-delete's keep-probability")
     find.set_defaults(func=_cmd_find)
 
-    oracle = sub.add_parser("oracle", help="find with the exact branch-and-bound oracle",
-                            allow_abbrev=False)  # else --p would pass as --poly
+    oracle = add_parser("oracle", help="find with the exact branch-and-bound oracle")
     add_common(oracle, finds=True)
     oracle.set_defaults(func=_cmd_find, algorithm="exact", seed=None, p=None)
 
-    audit = sub.add_parser("audit", help="report the worst monochromatic sunflower")
+    audit = add_parser("audit", help="report the worst monochromatic sunflower")
     add_common(audit, finds=False)
     audit.set_defaults(func=_cmd_audit)
 
-    bench = sub.add_parser("bench", help="seeded trials over a grid of ground sizes")
+    bench = add_parser("bench", help="seeded trials over a grid of ground sizes")
     bench.add_argument("--colouring", required=True,
                        choices=POINT_COLOURINGS + INTEGER_COLOURINGS)
     bench.add_argument("--poly", default=None)

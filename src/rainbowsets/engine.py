@@ -118,10 +118,13 @@ def greedy_rainbow(colouring: Colouring, ground: GroundSet, order: int | None = 
     ``order`` is None for natural id order, or an int seed for an order
     shuffled by ``random.Random(order)``.  A vertex is added iff every k-edge
     it forms with already-chosen vertices has a colour unused so far and the
-    new colours are pairwise distinct; the result is maximal for the order,
-    since a rejected vertex only accumulates more constraints later.  The
-    scan compares the evaluator's raw values; the closing verification reads
-    them through ``Colouring.colours``, so an inexact colour raises there.
+    new colours are pairwise distinct (so the first k-1 vertices always
+    are); the result is maximal for the order, since a rejected vertex only
+    accumulates more constraints later.  Each candidate is tested by the
+    colouring's star form, ``Colouring.star_of``, which is rebuilt once per
+    added vertex.  The scan compares the evaluator's raw values; the closing
+    verification reads them through ``Colouring.colours``, so an inexact
+    colour raises there.
     """
     n, k = ground.n, colouring.spec.k
     if k > n:
@@ -130,33 +133,15 @@ def greedy_rainbow(colouring: Colouring, ground: GroundSet, order: int | None = 
     if order is not None:
         random.Random(order).shuffle(seq)
     t0 = time.perf_counter()
-    ev = colouring.evaluator
     chosen: list[int] = []
     used: set = set()
+    new = colouring.star_of(chosen)
     for v in seq:
-        if len(chosen) < k - 1:
+        values = new(v, used)
+        if values is not None:
             chosen.append(v)
-            continue
-        new_values = set()
-        ok = True
-        if k == 2:
-            # hot path: one edge per already-chosen vertex, bail on first clash
-            for c in chosen:
-                value = ev((c, v) if c < v else (v, c))
-                if value in used or value in new_values:
-                    ok = False
-                    break
-                new_values.add(value)
-        else:
-            for rest in combinations(chosen, k - 1):
-                value = ev(tuple(sorted(rest + (v,))))
-                if value in used or value in new_values:
-                    ok = False
-                    break
-                new_values.add(value)
-        if ok:
-            chosen.append(v)
-            used |= new_values
+            used |= values
+            new = colouring.star_of(chosen)
     subset = tuple(sorted(chosen))
     verified = verify_rainbow(colouring, subset, budget=budget)
     runtime_ms = (time.perf_counter() - t0) * 1000.0

@@ -147,6 +147,28 @@ def reference_sample_and_delete(colouring: Colouring, n: int, plan) -> tuple[tup
     return tuple(sorted(kept)), stats
 
 
+def reference_greedy(values, order, colour) -> tuple:
+    """Greedy rainbow subset of ids into ``values`` under a pair colouring, scanned in ``order``.
+
+    ``colour`` maps the values of a pair, in id order, to its colour.  A
+    candidate is taken iff its pairs with the chosen ids have colours that
+    are unused and pairwise distinct, so its scan stops at the first repeat.
+    Returns the taken ids, sorted.
+    """
+    chosen, used = [], set()
+    for v in order:
+        new = set()
+        for c in chosen:
+            value = colour((values[min(c, v)], values[max(c, v)]))
+            if value in used or value in new:
+                break
+            new.add(value)
+        else:
+            chosen.append(v)
+            used |= new
+    return tuple(sorted(chosen))
+
+
 def direct_poly_value(coeffs, x, y, modulus=None):
     """p(x, y) for the coefficient map (i, j) -> c, summed one term at a time.
 

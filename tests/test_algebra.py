@@ -289,6 +289,39 @@ def test_colours_match_the_evaluator(case):
         assert list(map(type, got)) == list(map(type, want))
 
 
+@st.composite
+def star_cases(draw):
+    """Increasing values, chosen ids in scan order, one more id v, and a few used colours.
+
+    The values lie in a window of 40, some past 2**64, so v is often the
+    midpoint of two chosen values and two of its new colours are equal.
+    """
+    offset = draw(st.just(0) | st.integers(0, 2**70))
+    values = [offset + x for x in sorted(draw(st.lists(st.integers(1, 40), min_size=2,
+                                                       max_size=20, unique=True)))]
+    ids = draw(st.permutations(range(len(values))))
+    size = draw(st.integers(1, len(values) - 1))
+    differences = [abs(a - b) for a, b in combinations(values, 2)]
+    used = draw(st.sets(st.integers(0, 40) | st.sampled_from(differences), max_size=3))
+    return values, ids[:size], ids[size], used
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=star_cases())
+@example(case=([1, 3, 5], [2, 0], 1, set()))  # 3 is the midpoint of 1 and 5
+@example(case=([1, 3, 5, 2**64 + 3], [3, 0], 1, {2**64}))
+@example(case=([2, 9, 20], [2, 0], 1, {7, 5}))
+def test_sidon_star_matches_the_default_star(case):
+    # the Sidon star form gives what the default star of the same evaluator
+    # gives: None on a used colour or on two equal new colours, else the set
+    # of new colours
+    values, chosen, v, used = case
+    sidon = sidon_colouring(IntegerInstance(values=tuple(values)))
+    default = dataclasses.replace(sidon, star=None)
+    assert sidon.star is not None
+    assert sidon.star_of(chosen)(v, used) == default.star_of(chosen)(v, used)
+
+
 def test_sidon_lambda_on_range_50():
     inst = IntegerInstance(values=tuple(range(1, 51)))
     ok, report = validate_lambda(sidon_colouring(inst), GroundSet(50))

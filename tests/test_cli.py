@@ -258,10 +258,12 @@ def test_oracle_alias(tmp_path):
 
 
 @pytest.mark.parametrize("option", [["oracle", "--seed", "5"], ["oracle", "--shrink", "0.1"],
-                                    ["oracle", "--p", "0.3"], ["find", "--shrink", "0.5"]],
-                         ids=["oracle-seed", "oracle-shrink", "oracle-p", "find-shrink"])
+                                    ["oracle", "--p", "0.3"], ["find", "--shrink", "0.5"],
+                                    ["audit", "--p", "0.3"]],
+                         ids=["oracle-seed", "oracle-shrink", "oracle-p", "find-shrink", "audit-p"])
 def test_options_nothing_reads_are_refused(tmp_path, capsys, option):
-    # the oracle takes no seed and no sampling probability, and --p is the one sampling knob
+    # the oracle takes no seed and no sampling probability, and --p is the one
+    # sampling knob; no parser reads --p as an abbreviation of --poly
     inst = tmp_path / "ints.json"
     run("generate", "integers-range", "--n", "6", "--out", str(inst))
     out = tmp_path / "r.json"
@@ -269,6 +271,24 @@ def test_options_nothing_reads_are_refused(tmp_path, capsys, option):
     assert run(command, "--instance", str(inst), "--colouring", "sidon", *rest,
                "--out", str(out)) == 2
     assert "unrecognized arguments: " + " ".join(rest) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algorithm, option, named", [
+    ("greedy", ["--p", "0.3"], "--p is sample-delete's keep-probability; greedy reads none"),
+    ("exact", ["--p", "0.3"], "--p is sample-delete's keep-probability; exact reads none"),
+    ("greedy", ["--limit", "3"], "--limit caps the exact oracle; greedy reads none"),
+    ("sample-delete", ["--limit", "3"], "--limit caps the exact oracle; sample-delete reads none"),
+], ids=["greedy-p", "exact-p", "greedy-limit", "sample-delete-limit"])
+def test_find_refuses_options_its_algorithm_never_reads(tmp_path, capsys, algorithm, option,
+                                                         named):
+    # else the manifest would record a p or a limit that shaped nothing
+    inst = tmp_path / "ints.json"
+    run("generate", "integers-range", "--n", "6", "--out", str(inst))
+    out = tmp_path / "r.json"
+    assert run("find", "--instance", str(inst), "--colouring", "sidon", "--algorithm", algorithm,
+               *option, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"parameter error: {named}\n"
     assert not out.exists()
 
 
@@ -459,6 +479,15 @@ def test_bench_unknown_algorithm_exit2(tmp_path, capsys):
                "--algorithms", "greedy,annealing", "--out", str(out))
     assert code == 2
     assert "unknown algorithm 'annealing'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_takes_no_abbreviated_option(tmp_path, capsys):
+    # --algorithm is not read as --algorithms
+    out = tmp_path / "b.csv"
+    assert run("bench", "--colouring", "sidon", "--grid", "10,20,30,40", "--algorithm", "exact",
+               "--out", str(out)) == 2
+    assert "unrecognized arguments: --algorithm exact" in capsys.readouterr().err
     assert not out.exists()
 
 

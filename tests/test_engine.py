@@ -1,5 +1,6 @@
 import inspect
 import math
+import random
 import sys
 from itertools import combinations
 
@@ -11,6 +12,7 @@ from helpers import (
     constant_colouring,
     injective_colouring,
     random_colouring,
+    reference_greedy,
     reference_sample_and_delete,
 )
 from rainbowsets.algebra import IntegerInstance, sidon_colouring
@@ -57,6 +59,18 @@ def test_greedy_sidon_is_mian_chowla():
     assert [v + 1 for v in result.subset] == [
         1, 2, 4, 8, 13, 21, 31, 45, 66, 81, 97, 123, 148, 182, 204, 252, 290, 361, 401, 475]
     assert result.verified
+
+
+@pytest.mark.parametrize("trial", [0, 1])
+def test_greedy_sidon_matches_the_reference_scan(trial):
+    # the Sidon star form tests each candidate at C speed; the subsets must
+    # be those of the plain scan over |x - y|, in the same shuffled order
+    n, seed = 30_000, derive_seed(1, trial)
+    c, g = sidon_instance(n)
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    want = reference_greedy(range(1, n + 1), order, lambda pair: abs(pair[1] - pair[0]))
+    assert greedy_rainbow(c, g, order=seed).subset == want
 
 
 def test_greedy_injective_takes_everything():
