@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import cache, partial
 from statistics import median
@@ -284,6 +285,20 @@ def _cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    def count(text: str) -> int:
+        # a negative budget or limit is a bad parameter (exit 2), not a refusal (exit 3)
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+        return value
+
+    def finite(text: str) -> float:
+        # the report would hold NaN or Infinity, which JSON has no word for
+        value = float(text)
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+        return value
+
     # no parser expands an abbreviation: else --p would pass as --poly, and
     # bench's --algorithm as --algorithms
     parser = argparse.ArgumentParser(
@@ -309,10 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--colouring", required=True,
                        choices=POINT_COLOURINGS + INTEGER_COLOURINGS)
         p.add_argument("--poly", default=None, help="sympoly JSON for the poly colouring")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+        p.add_argument("--budget", type=count, default=DEFAULT_BUDGET)
         p.add_argument("--out", default=None)
         if finds:
-            p.add_argument("--limit", type=int, default=None,
+            p.add_argument("--limit", type=count, default=None,
                            help="optional vertex cap for the exact oracle")
             p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -340,12 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--trials", type=int, default=5)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--d", type=int, default=2)
-    bench.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    bench.add_argument("--budget", type=count, default=DEFAULT_BUDGET)
     bench.add_argument("--out", required=True, help="CSV path; report lands beside it")
     bench.add_argument("--report", default=None)
-    bench.add_argument("--slope-min", type=float, default=0.28)
-    bench.add_argument("--slope-max", type=float, default=0.40)
-    bench.add_argument("--median-coeff", type=float, default=0.8)
+    bench.add_argument("--slope-min", type=finite, default=0.28)
+    bench.add_argument("--slope-max", type=finite, default=0.40)
+    bench.add_argument("--median-coeff", type=finite, default=0.8)
     bench.set_defaults(func=_cmd_bench)
 
     return parser

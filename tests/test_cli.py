@@ -137,7 +137,7 @@ def test_find_collinear_points_volume_exit2(tmp_path, capsys):
                "--algorithm", "greedy", "--out", str(tmp_path / "r.json"))
     assert code == 2
     err = capsys.readouterr().err
-    assert "hyperplane" in err  # the violating subset is printed
+    assert "lie on a hyperplane" in err  # the violating subset is printed
     assert "0" in err and "2" in err
 
 
@@ -160,6 +160,21 @@ def test_find_budget_exit3(tmp_path):
                "--algorithm", "sample-delete", "--seed", "2",
                "--budget", "100", "--out", str(tmp_path / "r.json"))
     assert code == 3
+    assert run("find", "--instance", str(inst), "--colouring", "sidon", "--budget", "0") == 3
+
+
+@pytest.mark.parametrize("command, option", [("find", "--budget"), ("oracle", "--budget"),
+                                             ("oracle", "--limit"), ("audit", "--budget"),
+                                             ("bench", "--budget")])
+def test_negative_budget_or_limit_exit2(tmp_path, capsys, command, option):
+    # a bad parameter, refused before any work; not a budget refusal (exit 3)
+    inst = tmp_path / "ints.json"
+    run("generate", "integers-range", "--n", "10", "--out", str(inst))
+    source = ["--grid", "10,20,30,40"] if command == "bench" else ["--instance", str(inst)]
+    out = tmp_path / "r.out"
+    assert run(command, *source, "--colouring", "sidon", option, "-1", "--out", str(out)) == 2
+    assert f"argument {option}: must be at least 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_find_sample_delete_sidon_1000(tmp_path):
@@ -304,20 +319,25 @@ def test_oracle_manifest_records_no_seed_or_p(tmp_path):
 
 
 def test_oracle_refuses_by_nodes_not_vertices(tmp_path, capsys):
-    # no vertex cap: 30 values answer within the default budget of nodes
-    inst = tmp_path / "ints.json"
-    run("generate", "integers-range", "--n", "30", "--out", str(inst))
-    out = tmp_path / "r.json"
-    assert run("oracle", "--instance", str(inst), "--colouring", "sidon", "--out", str(out)) == 0
-    assert json.loads(out.read_text())["subset"] == ["1", "3", "14", "15", "20", "23", "30"]
-    capsys.readouterr()
-    assert run("oracle", "--instance", str(inst), "--colouring", "sidon",
-               "--budget", "100000") == 3
-    err = capsys.readouterr().err
-    assert "search layer" in err and "nodes" in err
-    assert run("oracle", "--instance", str(inst), "--colouring", "sidon", "--limit", "29") == 3
-    assert capsys.readouterr().err == (
-        "resource limit: search layer: the exact oracle for k=2 needs 30 vertices; budget is 29\n")
+    # no vertex cap: 26 and 30 values answer within the default budget of
+    # nodes, and a --limit they meet leaves the result file byte-identical
+    for n, ruler, budget in ((26, ["1", "4", "5", "13", "19", "24", "26"], "10000"),
+                             (30, ["1", "3", "14", "15", "20", "23", "30"], "100000")):
+        inst = tmp_path / f"ints{n}.json"
+        run("generate", "integers-range", "--n", str(n), "--out", str(inst))
+        oracle = ["oracle", "--instance", str(inst), "--colouring", "sidon"]
+        out, limited = tmp_path / f"r{n}.json", tmp_path / f"limited{n}.json"
+        assert run(*oracle, "--out", str(out)) == 0
+        assert json.loads(out.read_text())["subset"] == ruler
+        assert run(*oracle, "--limit", str(n), "--out", str(limited)) == 0
+        assert limited.read_bytes() == out.read_bytes()
+        capsys.readouterr()
+        assert run(*oracle, "--budget", budget) == 3
+        err = capsys.readouterr().err
+        assert "search layer" in err and "nodes" in err
+        assert run(*oracle, "--limit", str(n - 1)) == 3
+        assert capsys.readouterr().err == ("resource limit: search layer: the exact oracle for "
+                                           f"k=2 needs {n} vertices; budget is {n - 1}\n")
 
 
 def test_oracle_limit_comes_before_k_above_n(tmp_path, capsys):
@@ -344,7 +364,7 @@ def test_audit_sidon_pass(tmp_path, capsys):
     assert "PASS" in out
     obj = json.loads(report.read_text())
     assert obj["pass"] is True
-    assert obj["petals"] <= 2
+    assert obj["petals"] == 2
     assert obj["declared_max_petals"] == 2
 
 
@@ -383,7 +403,12 @@ def test_bench_small_grid(tmp_path, capsys):
     assert all(row[7] == str(derive_seed(4, int(row[6]))) for row in rows)
     assert all(0 < int(row[8]) <= int(row[0]) for row in rows)
     assert lines[1].startswith("30,2,1,2,sidon,greedy,0,")
-    report = json.loads((tmp_path / "bench.csv.report.json").read_text())
+    masked = "".join(line.rsplit(",", 1)[0] + "\n" for line in lines)  # less runtime_ms
+    assert hashlib.sha256(masked.encode()).hexdigest() == (
+        "c18bf03485cbb0f87f70fed6b79739bf477ac65a006a1c1b4557ab9296d56bf6"), masked
+    # strict JSON: parse_constant sees only NaN, Infinity and -Infinity
+    report = json.loads((tmp_path / "bench.csv.report.json").read_text(),
+                        parse_constant=pytest.fail)
     assert report["predicted_slope"] == pytest.approx(1 / 3)
     assert report["pass"] is True
     assert set(report["medians"]["greedy"]) == {"30", "60", "90", "120"}
@@ -503,6 +528,18 @@ def test_bench_malformed_list_exit2(tmp_path, capsys, grid, algorithms, named):
                "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("parameter error:") and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("option", ["--slope-min", "--slope-max", "--median-coeff"])
+def test_bench_non_finite_threshold_exit2(tmp_path, capsys, option, value):
+    # refused before any trial: NaN fails every threshold, infinity passes one,
+    # and neither can be written as JSON
+    out = tmp_path / "b.csv"
+    assert run("bench", "--colouring", "sidon", "--grid", "10,20,30,40", "--trials", "3",
+               option, value, "--out", str(out)) == 2
+    assert f"argument {option}: must be a finite number, got '{value}'" in capsys.readouterr().err
     assert not out.exists()
 
 

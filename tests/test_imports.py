@@ -1,6 +1,10 @@
-"""Every module under src/ and tests/ uses every name it imports."""
+"""Every module under src/ and tests/ uses every name it imports, and the CLI
+imports only the standard library."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +50,17 @@ def test_checker_flags_only_unread_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_cli_imports_only_the_standard_library():
+    # in a fresh interpreter: this one has loaded pytest and what the other tests import
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import rainbowsets.cli\n"
+             "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+             "print(sorted(loaded - set(sys.stdlib_module_names) - {'rainbowsets'}))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    probed = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert (probed.returncode, probed.stdout) == (0, "[]\n"), probed.stderr
