@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, filterfalse, repeat
 
 from .errors import ParameterError, ValidationError, require_array, require_exact
 from .hypergraph import Colouring, ColouringSpec
@@ -19,6 +20,11 @@ from .hypergraph import Colouring, ColouringSpec
 RATIONALS = "Q"
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# The Sidon scan keeps its refusal map only while the values span at most
+# this many times their count; see sidon_colouring.
+_MAP_SPAN = 8
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def is_prime(n: int) -> bool:
@@ -205,12 +211,31 @@ def sidon_colouring(inst: IntegerInstance) -> Colouring:
     """Colour pairs {x, y} by |x - y|; each difference repeats at most twice through a point.
 
     The row form subtracts at C speed: the values increase, so no ``abs`` is
-    needed.  The star form reads the chosen values once; each candidate's
-    differences then meet ``used`` at C speed, stopping at the first clash,
-    and only a candidate that passes builds its set.
+    needed.  The scan works on offsets from the least value, the ids
+    themselves when the values are consecutive.  Its exact test is the
+    default scan's at C speed: a candidate's differences with the chosen
+    offsets meet ``used``, stopping at the first clash, and only a candidate
+    that passes builds their set, whose size falls short when the candidate
+    is the midpoint of two chosen offsets.
+
+    While the values span at most ``_MAP_SPAN`` = 8 times their count, a
+    refusal map over the span goes in front of that test.  It marks every
+    offset at a used difference from a chosen one, and ``filterfalse``
+    skips the marked candidates at C speed.  The map is rebuilt only after
+    the scan has taken in 1, 2, 4, ... candidates: one base-2 int holds each
+    used difference u at span + u and span - u, and the map is the OR of
+    that mask shifted by each chosen offset, read back through
+    ``format(..., "b")``.  A map out of date is never wrong: ``chosen`` and
+    ``used`` only grow, so the exact test would still refuse a marked
+    candidate.  The rebuilds cost more as the span widens: with the values
+    spread at random over 8 times their count, the map won by 12-24 % at
+    every count from 10^4 to 10^6, and over 10 to 16 times it won or lost
+    from run to run.
     """
     values = inst.values
     spec = ColouringSpec(k=2, h=1, max_petals=2)
+    lo, span = values[0], values[-1] - values[0]
+    mapped = span <= _MAP_SPAN * len(values)
 
     def evaluator(ids: tuple[int, ...]):
         return abs(values[ids[1]] - values[ids[0]])
@@ -220,19 +245,46 @@ def sidon_colouring(inst: IntegerInstance) -> Colouring:
         return chain.from_iterable(map(operator.sub, xs[i + 1:], repeat(x))
                                    for i, x in enumerate(xs))
 
-    def star(chosen):
-        xs = list(map(values.__getitem__, chosen))
+    def scan(seq):
+        candidates = (seq if span == len(values) - 1 else
+                      list(map(operator.sub, map(values.__getitem__, seq), repeat(lo))))
+        chosen: list[int] = []
+        used: set = set()
 
-        def new(v: int, used: set):
-            x = values[v]
-            if not used.isdisjoint(map(abs, map(operator.sub, repeat(x), xs))):
-                return None
-            differences = set(map(abs, map(operator.sub, repeat(x), xs)))
-            return differences if len(differences) == len(xs) else None
+        def take(x: int) -> set:
+            """The new differences if the offset x is taken, else the empty set."""
+            if used.isdisjoint(map(abs, map(operator.sub, repeat(x), chosen))):
+                differences = set(map(abs, map(operator.sub, repeat(x), chosen)))
+                if len(differences) == len(chosen):
+                    chosen.append(x)
+                    used.update(differences)
+                    return differences
+            return set()
 
-        return new
+        if not mapped:
+            for x in candidates:
+                take(x)
+        else:
+            marks = bytearray(b"0") * (2 * span + 1)  # "1" at span - u and span + u for each used u
+            window = (1 << (span + 1)) - 1
+            refused = bytes(span + 1)
+            start = 0
+            while start < len(candidates):
+                stop = 2 * start or 1
+                for x in filterfalse(refused.__getitem__, candidates[start:stop]):
+                    for d in take(x):
+                        marks[span - d] = marks[span + d] = 49
+                start = stop
+                if start < len(candidates):
+                    mask = int(marks, 2)
+                    hits = 0
+                    for c in chosen:
+                        hits |= mask >> c  # bit span - x iff |x - c| is used
+                    bits = format(hits & window, f"0{span + 1}b")  # character x is bit span - x
+                    refused = bits.encode().translate(_BITS)
+        return [bisect_left(values, lo + x) for x in chosen]
 
-    return Colouring(spec=spec, evaluator=evaluator, label="sidon", rows=rows, star=star)
+    return Colouring(spec=spec, evaluator=evaluator, label="sidon", rows=rows, scan=scan)
 
 
 def integers_to_obj(inst: IntegerInstance) -> dict:

@@ -120,28 +120,20 @@ def greedy_rainbow(colouring: Colouring, ground: GroundSet, order: int | None = 
     it forms with already-chosen vertices has a colour unused so far and the
     new colours are pairwise distinct (so the first k-1 vertices always
     are); the result is maximal for the order, since a rejected vertex only
-    accumulates more constraints later.  Each candidate is tested by the
-    colouring's star form, ``Colouring.star_of``, which is rebuilt once per
-    added vertex.  The scan compares the evaluator's raw values; the closing
-    verification reads them through ``Colouring.colours``, so an inexact
-    colour raises there.
+    accumulates more constraints later.  The scan is the colouring's,
+    ``Colouring.greedy_scan``, and compares the evaluator's raw values; the
+    closing verification reads them through ``Colouring.colours``, so an
+    inexact colour raises there.  ``runtime_ms`` covers the whole call: the
+    shuffle, the scan and the verification.
     """
+    t0 = time.perf_counter()
     n, k = ground.n, colouring.spec.k
     if k > n:
         raise ParameterError(f"k={k} exceeds ground set size {n}")
     seq = list(ground.vertices)
     if order is not None:
         random.Random(order).shuffle(seq)
-    t0 = time.perf_counter()
-    chosen: list[int] = []
-    used: set = set()
-    new = colouring.star_of(chosen)
-    for v in seq:
-        values = new(v, used)
-        if values is not None:
-            chosen.append(v)
-            used |= values
-            new = colouring.star_of(chosen)
+    chosen = colouring.greedy_scan(seq)
     subset = tuple(sorted(chosen))
     verified = verify_rainbow(colouring, subset, budget=budget)
     runtime_ms = (time.perf_counter() - t0) * 1000.0

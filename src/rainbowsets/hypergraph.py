@@ -77,38 +77,40 @@ class Colouring:
     ``keys.canonical_key`` serializes.  ``rows``, if given, colours a whole
     ascending vertex list at once with the evaluator's values.  ``colours``
     checks every colour it yields, so whole-set passes may compare values.
-    ``star``, if given, stands in for the default ``star_of`` and must give
-    the same answers.
+    ``scan``, if given, stands in for the default ``greedy_scan`` and must
+    take the same vertices in the same order.
     """
 
     spec: ColouringSpec
     evaluator: Callable[[tuple[int, ...]], object]
     label: str
     rows: Callable[[Sequence[int]], Iterable] | None = None
-    star: Callable[[Sequence[int]], Callable[[int, set], set | None]] | None = None
+    scan: Callable[[Sequence[int]], list[int]] | None = None
 
-    def star_of(self, chosen: Sequence[int]) -> Callable[[int, set], set | None]:
-        """The test ``new(v, used)`` of a vertex v against ``chosen`` as it is now.
+    def greedy_scan(self, seq: Sequence[int]) -> list[int]:
+        """The vertices of ``seq`` that greedy takes, in the order it takes them.
 
-        ``new`` returns the set of the evaluator's raw colours of v with each
-        (k-1)-subset of ``chosen``, or None when one of them is in ``used`` or
-        two of them are equal.  By default it colours those edges in
-        ``combinations`` order, each at most once, and stops at the first clash.
+        A vertex v is taken iff the evaluator's raw colours of v with each
+        (k-1)-subset of the vertices taken before it are unused so far and
+        pairwise distinct.  By default those edges are coloured in
+        ``combinations`` order, each at most once, stopping at the first clash.
         """
-        if self.star is not None:
-            return self.star(chosen)
-        ev, k, chosen = self.evaluator, self.spec.k, tuple(chosen)
-
-        def new(v: int, used: set) -> set | None:
+        if self.scan is not None:
+            return self.scan(seq)
+        ev, k = self.evaluator, self.spec.k
+        chosen: list[int] = []
+        used: set = set()
+        for v in seq:
             values = set()
             for rest in combinations(chosen, k - 1):
                 value = ev(tuple(sorted(rest + (v,))))
                 if value in used or value in values:
-                    return None
+                    break
                 values.add(value)
-            return values
-
-        return new
+            else:
+                chosen.append(v)
+                used |= values
+        return chosen
 
     def colours(self, vertices: Sequence[int]) -> Iterator:
         """The colours of the k-subsets of ascending ``vertices``, in ``combinations`` order.

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import all_subsets, direct_poly_value, is_sidon
 from rainbowsets.algebra import (
+    _MAP_SPAN,
     IntegerInstance,
     PolyGround,
     SymPoly,
@@ -290,36 +291,39 @@ def test_colours_match_the_evaluator(case):
 
 
 @st.composite
-def star_cases(draw):
-    """Increasing values, chosen ids in scan order, one more id v, and a few used colours.
+def scan_cases(draw):
+    """Increasing values and a scan order: a prefix, maybe empty, of a permutation of their ids.
 
-    The values lie in a window of 40, some past 2**64, so v is often the
-    midpoint of two chosen values and two of its new colours are equal.
+    The values are drawn from a window of up to 20 times their count, so
+    their span falls on both sides of the refusal map's rule, and some lie
+    past 2**64.  Small windows make midpoints of two taken values common.
     """
+    count = draw(st.integers(1, 30))
     offset = draw(st.just(0) | st.integers(0, 2**70))
-    values = [offset + x for x in sorted(draw(st.lists(st.integers(1, 40), min_size=2,
-                                                       max_size=20, unique=True)))]
-    ids = draw(st.permutations(range(len(values))))
-    size = draw(st.integers(1, len(values) - 1))
-    differences = [abs(a - b) for a, b in combinations(values, 2)]
-    used = draw(st.sets(st.integers(0, 40) | st.sampled_from(differences), max_size=3))
-    return values, ids[:size], ids[size], used
+    width = draw(st.integers(count, 20 * count))
+    values = [offset + x for x in sorted(draw(st.lists(st.integers(1, width), min_size=count,
+                                                       max_size=count, unique=True)))]
+    ids = draw(st.permutations(range(count)))
+    return values, ids[:draw(st.integers(0, count))]
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=star_cases())
-@example(case=([1, 3, 5], [2, 0], 1, set()))  # 3 is the midpoint of 1 and 5
-@example(case=([1, 3, 5, 2**64 + 3], [3, 0], 1, {2**64}))
-@example(case=([2, 9, 20], [2, 0], 1, {7, 5}))
-def test_sidon_star_matches_the_default_star(case):
-    # the Sidon star form gives what the default star of the same evaluator
-    # gives: None on a used colour or on two equal new colours, else the set
-    # of new colours
-    values, chosen, v, used = case
+@given(case=scan_cases())
+@example(case=([1, 3, 5], [2, 0, 1]))  # 3 is the midpoint of 1 and 5
+@example(case=([1, 3, 5, 2**64 + 3], [3, 0, 1, 2]))  # past the map's span rule
+@example(case=([2**70 + 1, 2**70 + 3, 2**70 + 5], [0, 2, 1]))
+@example(case=([2, 9, 16, 20], [0, 1, 2, 3]))  # 16 = 9 + 7, a used difference: mapped
+@example(case=([1, 2, 1 + 3 * _MAP_SPAN], [2, 0, 1]))  # the widest span that is mapped
+@example(case=([1, 2, 2 + 3 * _MAP_SPAN], [2, 0, 1]))  # the narrowest that is not
+@example(case=([5], []))
+@example(case=([5], [0]))
+def test_sidon_scan_matches_the_default_scan(case):
+    # the Sidon scan, refusal map or not, takes what the default scan of the
+    # same evaluator takes, in the same order
+    values, seq = case
     sidon = sidon_colouring(IntegerInstance(values=tuple(values)))
-    default = dataclasses.replace(sidon, star=None)
-    assert sidon.star is not None
-    assert sidon.star_of(chosen)(v, used) == default.star_of(chosen)(v, used)
+    assert sidon.scan is not None
+    assert sidon.greedy_scan(seq) == dataclasses.replace(sidon, scan=None).greedy_scan(seq)
 
 
 def test_sidon_lambda_on_range_50():

@@ -15,7 +15,7 @@ from helpers import (
     reference_greedy,
     reference_sample_and_delete,
 )
-from rainbowsets.algebra import IntegerInstance, sidon_colouring
+from rainbowsets.algebra import _MAP_SPAN, IntegerInstance, sidon_colouring
 from rainbowsets.engine import (
     SamplePlan,
     derive_seed,
@@ -61,16 +61,21 @@ def test_greedy_sidon_is_mian_chowla():
     assert result.verified
 
 
-@pytest.mark.parametrize("trial", [0, 1])
-def test_greedy_sidon_matches_the_reference_scan(trial):
-    # the Sidon star form tests each candidate at C speed; the subsets must
-    # be those of the plain scan over |x - y|, in the same shuffled order
+@pytest.mark.parametrize("trial, spread", [pytest.param(0, 1, id="0"), pytest.param(1, 1, id="1"),
+                                           pytest.param(0, 2 * _MAP_SPAN, id="sparse")])
+def test_greedy_sidon_matches_the_reference_scan(trial, spread):
+    # the Sidon scan skips refused values by its map on 1..n, and tests every
+    # candidate exactly on sparse values spread past the map's span rule; the
+    # subsets must be those of the plain scan over |x - y|, in the same
+    # shuffled order
     n, seed = 30_000, derive_seed(1, trial)
-    c, g = sidon_instance(n)
+    values = sorted(random.Random(spread).sample(range(1, spread * n + 1), n))
+    assert (values[-1] - values[0] > _MAP_SPAN * n) == (spread > 1)
+    c = sidon_colouring(IntegerInstance(values=tuple(values)))
     order = list(range(n))
     random.Random(seed).shuffle(order)
-    want = reference_greedy(range(1, n + 1), order, lambda pair: abs(pair[1] - pair[0]))
-    assert greedy_rainbow(c, g, order=seed).subset == want
+    want = reference_greedy(values, order, lambda pair: abs(pair[1] - pair[0]))
+    assert greedy_rainbow(c, GroundSet(n), order=seed).subset == want
 
 
 def test_greedy_injective_takes_everything():
