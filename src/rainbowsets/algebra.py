@@ -222,15 +222,15 @@ def sidon_colouring(inst: IntegerInstance) -> Colouring:
     refusal map over the span goes in front of that test.  It marks every
     offset at a used difference from a chosen one, and ``filterfalse``
     skips the marked candidates at C speed.  The map is rebuilt only after
-    the scan has taken in 1, 2, 4, ... candidates: one base-2 int holds each
-    used difference u at span + u and span - u, and the map is the OR of
-    that mask shifted by each chosen offset, read back through
-    ``format(..., "b")``.  A map out of date is never wrong: ``chosen`` and
-    ``used`` only grow, so the exact test would still refuse a marked
-    candidate.  The rebuilds cost more as the span widens: with the values
-    spread at random over 8 times their count, the map won by 12-24 % at
-    every count from 10^4 to 10^6, and over 10 to 16 times it won or lost
-    from run to run.
+    the scan has taken in 1, 2, 4, ... candidates: packed marks, one bit per
+    offset, set bits span + u and span - u for each used difference u; the
+    map is the OR of their mask (``int.from_bytes``) shifted by each chosen
+    offset, read back through ``format(..., "b")``.  A map out of date is
+    never wrong: ``chosen`` and ``used`` only grow, so the exact test would
+    still refuse a marked candidate.  The rebuilds cost more as the span
+    widens: with the values spread at random over 8 times their count, the
+    map won by 12-24 % at every count from 10^4 to 10^6, and over 10 to 16
+    times it won or lost from run to run.
     """
     values = inst.values
     spec = ColouringSpec(k=2, h=1, max_petals=2)
@@ -265,7 +265,7 @@ def sidon_colouring(inst: IntegerInstance) -> Colouring:
             for x in candidates:
                 take(x)
         else:
-            marks = bytearray(b"0") * (2 * span + 1)  # "1" at span - u and span + u for each used u
+            marks = bytearray(span // 4 + 1)  # bits span - u and span + u for each used u
             window = (1 << (span + 1)) - 1
             refused = bytes(span + 1)
             start = 0
@@ -273,10 +273,11 @@ def sidon_colouring(inst: IntegerInstance) -> Colouring:
                 stop = 2 * start or 1
                 for x in filterfalse(refused.__getitem__, candidates[start:stop]):
                     for d in take(x):
-                        marks[span - d] = marks[span + d] = 49
+                        for b in (span - d, span + d):
+                            marks[b >> 3] |= 1 << (b & 7)
                 start = stop
                 if start < len(candidates):
-                    mask = int(marks, 2)
+                    mask = int.from_bytes(marks, "little")
                     hits = 0
                     for c in chosen:
                         hits |= mask >> c  # bit span - x iff |x - c| is used

@@ -216,6 +216,8 @@ def _cmd_bench(args) -> int:
         raise ParameterError(f"--grid takes integers: {exc}") from None
     if len(grid) < 4:
         raise ParameterError(f"need at least 4 grid points for the exponent fit, got {len(grid)}")
+    if grid[0] < 1:
+        raise ParameterError(f"--grid sizes must be at least 1, got {grid[0]}")
     algorithms = [a.replace("-", "_") for a in args.algorithms.split(",") if a]
     if not algorithms:
         raise ParameterError(f"--algorithms {args.algorithms!r} names no algorithm")

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import rshift
 from statistics import fmean
 
 from .errors import BudgetError, ParameterError, require_budget
@@ -111,12 +113,41 @@ def verify_rainbow(colouring: Colouring, subset, budget: int = DEFAULT_BUDGET) -
     return len(set(colouring.colours(s))) == edges
 
 
+def _shuffled(n: int, seed: int) -> list[int]:
+    """``random.Random(seed).shuffle(list(range(n)))``, from the generator's words read in bulk.
+
+    The shuffle draws position i's swap as the top k bits of one 32-bit word,
+    k the bit length of i + 1, redrawn while it exceeds i.  ``getrandbits(32 * m)``
+    is the next m words, least significant first, so one loop per k runs over
+    shifted words; words left over carry to the next k.  A draw holds about
+    1.5 words per position left, and at most 4096.
+    """
+    seq = list(range(n))
+    getrandbits = random.Random(seed).getrandbits
+    words = iter(())
+    i = n - 1
+    while i > 0:
+        k = (i + 1).bit_length()
+        last = (1 << (k - 1)) - 1  # the lowest i whose i + 1 has k bits
+        for s in map(rshift, words, repeat(32 - k)):
+            if s <= i:
+                seq[i], seq[s] = seq[s], seq[i]
+                i -= 1
+                if i < last:
+                    break
+        else:
+            m = min(4096, 3 * (i + 1) // 2 + 16)
+            words = iter(struct.unpack(f"<{m}I", getrandbits(32 * m).to_bytes(4 * m, "little")))
+    return seq
+
+
 def greedy_rainbow(colouring: Colouring, ground: GroundSet, order: int | None = None,
                    budget: int = DEFAULT_BUDGET) -> RainbowResult:
     """Scan vertices in order, adding each one whose new edges keep the subset rainbow.
 
-    ``order`` is None for natural id order, or an int seed for an order
-    shuffled by ``random.Random(order)``.  A vertex is added iff every k-edge
+    ``order`` is None for natural id order, or an int seed for the order
+    ``random.Random(order).shuffle`` gives, built by ``_shuffled`` from the
+    generator's words drawn in bulk.  A vertex is added iff every k-edge
     it forms with already-chosen vertices has a colour unused so far and the
     new colours are pairwise distinct (so the first k-1 vertices always
     are); the result is maximal for the order, since a rejected vertex only
@@ -130,9 +161,7 @@ def greedy_rainbow(colouring: Colouring, ground: GroundSet, order: int | None = 
     n, k = ground.n, colouring.spec.k
     if k > n:
         raise ParameterError(f"k={k} exceeds ground set size {n}")
-    seq = list(ground.vertices)
-    if order is not None:
-        random.Random(order).shuffle(seq)
+    seq = list(ground.vertices) if order is None else _shuffled(n, order)
     chosen = colouring.greedy_scan(seq)
     subset = tuple(sorted(chosen))
     verified = verify_rainbow(colouring, subset, budget=budget)

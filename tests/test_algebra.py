@@ -315,6 +315,11 @@ def scan_cases(draw):
 @example(case=([2, 9, 16, 20], [0, 1, 2, 3]))  # 16 = 9 + 7, a used difference: mapped
 @example(case=([1, 2, 1 + 3 * _MAP_SPAN], [2, 0, 1]))  # the widest span that is mapped
 @example(case=([1, 2, 2 + 3 * _MAP_SPAN], [2, 0, 1]))  # the narrowest that is not
+# the least and greatest values first, so the top mark, bit 2 * span, is set: it lies
+# just below a byte boundary (2 * span + 1 = 31 bits), on one (33) and past one (35)
+@example(case=([1, 9, 11, 12, 16], [0, 4, 2, 1, 3]))
+@example(case=([1, 2, 6, 9, 15, 17], [0, 5, 3, 4, 1, 2]))
+@example(case=([1, 6, 11, 15, 16, 18], [0, 5, 4, 2, 1, 3]))
 @example(case=([5], []))
 @example(case=([5], [0]))
 def test_sidon_scan_matches_the_default_scan(case):

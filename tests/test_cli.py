@@ -531,6 +531,20 @@ def test_bench_malformed_list_exit2(tmp_path, capsys, grid, algorithms, named):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("colouring, grid, size", [
+    (["--colouring", "sidon"], "10,20,30,-3", -3),
+    (["--colouring", "volume", "--d", "2"], "10,12,14,0", 0),
+], ids=["sidon-negative", "volume-zero"])
+def test_bench_grid_size_below_one_exit2(tmp_path, capsys, colouring, grid, size):
+    # refused by the grid parse, not by the instance builder's own message
+    out = tmp_path / "b.csv"
+    assert run("bench", *colouring, "--grid", grid, "--trials", "3", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"parameter error: --grid sizes must be at least 1, got {size}" in err
+    assert "N=" not in err  # no trial ran
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("option", ["--slope-min", "--slope-max", "--median-coeff"])
 def test_bench_non_finite_threshold_exit2(tmp_path, capsys, option, value):

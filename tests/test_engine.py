@@ -18,6 +18,7 @@ from helpers import (
 from rainbowsets.algebra import _MAP_SPAN, IntegerInstance, sidon_colouring
 from rainbowsets.engine import (
     SamplePlan,
+    _shuffled,
     derive_seed,
     estimate_exponent,
     exact_max_rainbow,
@@ -76,6 +77,27 @@ def test_greedy_sidon_matches_the_reference_scan(trial, spread):
     random.Random(seed).shuffle(order)
     want = reference_greedy(values, order, lambda pair: abs(pair[1] - pair[0]))
     assert greedy_rainbow(c, GroundSet(n), order=seed).subset == want
+
+
+def shuffle_examples(test):
+    """Examples at the shuffle's block edges: n = 2**j - 1, 2**j and 2**j + 1, where the
+    draw's bit length changes, and n = 2720 and 2721, where the first draw reaches its
+    4096-word cap."""
+    for n in (1, 2, 3, *(2**j + d for j in (2, 5, 8, 11) for d in (-1, 0, 1)), 2720, 2721):
+        test = example(n=n, seed=-n)(example(n=n, seed=2**64 + n)(test))
+    return test
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 3000), seed=(st.integers(-2**80, -1) | st.just(0)
+                                    | st.integers(1, 2**32) | st.integers(2**64, 2**80)))
+@shuffle_examples
+def test_shuffled_is_random_shuffle(n, seed):
+    # greedy's order reads the generator's words in bulk; it must be the very
+    # permutation random.shuffle gives, or every seeded greedy answer moves
+    want = list(range(n))
+    random.Random(seed).shuffle(want)
+    assert _shuffled(n, seed) == want
 
 
 def test_greedy_injective_takes_everything():
