@@ -1,6 +1,10 @@
 """Exact rational geometry colourings: circumradius, volume, similarity type.
 
-All predicates and colour values are computed over Fractions; there is no
+General position is decided in integers, on the points scaled by their
+common denominator.  In the plane, circumradius and similarity colours are
+closed forms in those integer points; volume at any dimension, and the other
+two colourings above the plane, take Fraction Cayley-Menger determinants.
+Every colour is an exact Fraction or tuple of Fractions and there is no
 floating-point path anywhere, so colour equality is genuine equality of the
 underlying geometric quantity.
 """
@@ -52,7 +56,7 @@ def det_exact(matrix: list[list[Fraction]]) -> Fraction:
     return det
 
 
-def _distance_matrix(pts) -> list[list[Fraction]]:
+def _distance_matrix(pts) -> list[list]:
     return [[squared_distance(p, q) for q in pts] for p in pts]
 
 
@@ -76,6 +80,32 @@ def _volume(dist, idxs) -> Fraction:
 def _circumradius(dist, idxs) -> Fraction:
     """Squared circumradius -det D / (2 det M), D the distance matrix and M its bordered form."""
     return -det_exact([[dist[i][j] for j in idxs] for i in idxs]) / (2 * _cayley_menger(dist, idxs))
+
+
+def _plane_circumradius(pts, dist, denominator, idxs) -> Fraction:
+    """Squared circumradius of a triangle of integer points scaled by L.
+
+    R^2 = |ab|^2 |ac|^2 |bc|^2 / (4 cross^2 L^2), where cross = (b - a) x (c - a)
+    is twice the signed area and ``denominator`` is 4 L^2.
+    """
+    a, b, c = idxs
+    (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
+    cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+    row = dist[a]
+    return Fraction(row[b] * row[c] * dist[b][c], denominator * cross * cross)
+
+
+def _plane_similarity(dist, idxs) -> tuple[Fraction, ...]:
+    """The triangle's squared sides in ascending order, each over twice their sum.
+
+    Every order of the sides is some ordering of the vertices, so this is
+    ``_similarity_profile``'s least tuple; the scale L cancels.
+    """
+    a, b, c = idxs
+    row = dist[a]
+    s1, s2, s3 = sorted((row[b], row[c], dist[b][c]))
+    total = 2 * (s1 + s2 + s3)
+    return Fraction(s1, total), Fraction(s2, total), Fraction(s3, total)
 
 
 def _similarity_profile(dist, idxs) -> tuple[Fraction, ...]:
@@ -180,10 +210,13 @@ def _cospherical(ws, d: int) -> bool:
     )
 
 
-def _integer_points(inst: PointInstance) -> list[tuple[int, ...]]:
-    """The points scaled by their common denominator; scaling keeps every sphere and hyperplane."""
+def _integer_points(inst: PointInstance) -> tuple[int, list[tuple[int, ...]]]:
+    """The common denominator L of the coordinates, and the points scaled by it.
+
+    Scaling keeps every sphere and hyperplane.
+    """
     scale = math.lcm(*(c.denominator for p in inst.points for c in p))
-    return [tuple(c.numerator * (scale // c.denominator) for c in p) for p in inst.points]
+    return scale, [tuple(c.numerator * (scale // c.denominator) for c in p) for p in inst.points]
 
 
 def _first_violation(inst: PointInstance, size: int, what: str, exists, budget: int):
@@ -200,7 +233,7 @@ def _first_violation(inst: PointInstance, size: int, what: str, exists, budget: 
         return None
     # a valid instance hashes at most one direction per (size-1)-subset
     require_budget(math.comb(n, size - 1), budget, "verify", what, "direction hashes")
-    pts = _integer_points(inst)
+    _, pts = _integer_points(inst)
     anchor = next((j for j, c in enumerate(pts)
                    if exists(_differences(pts[j + 1:], c), inst.dim)), None)
     if anchor is None:
@@ -288,7 +321,12 @@ def circumradius_colouring(inst: PointInstance, budget: int = DEFAULT_BUDGET) ->
     """
     _require_general_position(inst, True, budget)
     spec = ColouringSpec(k=inst.dim + 1, h=inst.dim, max_petals=2)
-    return Colouring(spec, partial(_circumradius, _distance_matrix(inst.points)), "circumradius")
+    if inst.dim == 2:
+        scale, pts = _integer_points(inst)
+        evaluator = partial(_plane_circumradius, pts, _distance_matrix(pts), 4 * scale * scale)
+    else:
+        evaluator = partial(_circumradius, _distance_matrix(inst.points))
+    return Colouring(spec, evaluator, "circumradius")
 
 
 def volume_colouring(inst: PointInstance, budget: int = DEFAULT_BUDGET) -> Colouring:
@@ -308,8 +346,11 @@ def similarity_colouring(inst: PointInstance, budget: int = DEFAULT_BUDGET) -> C
     """
     _require_general_position(inst, False, budget)
     spec = ColouringSpec(k=inst.dim + 1, h=inst.dim, max_petals=2 * math.factorial(inst.dim + 1))
-    return Colouring(spec, partial(_similarity_profile, _distance_matrix(inst.points)),
-                     "similarity")
+    if inst.dim == 2:
+        evaluator = partial(_plane_similarity, _distance_matrix(_integer_points(inst)[1]))
+    else:
+        evaluator = partial(_similarity_profile, _distance_matrix(inst.points))
+    return Colouring(spec, evaluator, "similarity")
 
 
 def points_to_obj(inst: PointInstance) -> dict:

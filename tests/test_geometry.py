@@ -17,6 +17,7 @@ from helpers import (
     simplex_squared_circumradius,
     simplex_squared_volume,
 )
+from rainbowsets import geometry
 from rainbowsets.errors import BudgetError, ParameterError, ValidationError
 from rainbowsets.geometry import (
     PointInstance,
@@ -475,8 +476,15 @@ def test_colourings_check_their_own_points():
     similarity_colouring(square)
 
 
+# general position with common denominator 6; circumradius, similarity and
+# volume colour 2, 2 and 3 of the 20 triangles like an earlier one
+SIXTHS = [tuple(Fraction(c) for c in p) for p in
+          [(-1, 2), ("-1/3", 2), (0, 0), ("2/3", 0), (1, "1/2"), (2, "-2/3")]]
+
+
 @settings(max_examples=200, deadline=None)
 @given(points=point_lists(0, 2))
+@example(points=SIXTHS)
 @example(points=[(0, 0), (1, 0), (1, 1), (0, 1)])  # concyclic: only circumradius refuses
 @example(points=[(0, 0), (1, 1), (2, 2), (0, 1)])  # collinear: all three refuse
 @example(points=[(0,), (1,), (3,)])
@@ -508,6 +516,27 @@ def test_colourings_refuse_exactly_the_oracle_witnesses(points):
     if sphere is None:
         radius = circumradius_colouring(inst).evaluator
         assert all(radius(e) == simplex_squared_circumradius(s) for e, s in simplices.items())
+
+
+def test_plane_circumradius_and_similarity_need_no_determinant(monkeypatch):
+    # in the plane both colours are closed forms in the integer points, so
+    # neither falls back to the determinant; volume, and circumradius above
+    # the plane, still take it
+    def refuse(matrix):
+        raise AssertionError("det_exact called")
+
+    monkeypatch.setattr(geometry, "det_exact", refuse)
+    inst = instance(SIXTHS)
+    triangles = [[SIXTHS[i] for i in e] for e in combinations(range(len(SIXTHS)), 3)]
+    radii = list(circumradius_colouring(inst).colours(range(len(SIXTHS))))
+    assert radii == [simplex_squared_circumradius(t) for t in triangles]
+    shapes = list(similarity_colouring(inst).colours(range(len(SIXTHS))))
+    for (t1, c1), (t2, c2) in combinations(zip(triangles, shapes), 2):
+        assert (c1 == c2) == similar_simplices(t1, t2)
+    with pytest.raises(AssertionError, match="det_exact called"):
+        volume_colouring(inst).evaluator((0, 1, 2))
+    with pytest.raises(AssertionError, match="det_exact called"):
+        simplex_colour(circumradius_colouring, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
 
 def test_colouring_specs():
