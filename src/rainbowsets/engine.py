@@ -152,10 +152,10 @@ def greedy_rainbow(colouring: Colouring, ground: GroundSet, order: int | None = 
     new colours are pairwise distinct (so the first k-1 vertices always
     are); the result is maximal for the order, since a rejected vertex only
     accumulates more constraints later.  The scan is the colouring's,
-    ``Colouring.greedy_scan``, and compares the evaluator's raw values; the
-    closing verification reads them through ``Colouring.colours``, so an
-    inexact colour raises there.  ``runtime_ms`` covers the whole call: the
-    shuffle, the scan and the verification.
+    ``Colouring.greedy_scan``, whose default loop compares colour keys; the
+    closing verification reads the keys through ``Colouring.colours``, so an
+    inexact colour raises either way.  ``runtime_ms`` covers the whole call:
+    the shuffle, the scan and the verification.
     """
     t0 = time.perf_counter()
     n, k = ground.n, colouring.spec.k

@@ -2,7 +2,8 @@
 
 Vertices are dense indices 0..N-1; the application modules keep the mapping
 from indices to domain objects (points, integers).  Everything here is exact:
-colour values are compared for equality only, never approximately.
+colours are compared for equality only, never approximately, through
+their keys.
 """
 
 from __future__ import annotations
@@ -21,15 +22,36 @@ from .keys import canonical_key
 # caller raises the budget explicitly; they fail loudly rather than sample.
 DEFAULT_BUDGET = 5_000_000
 
-_CHUNK = 4096  # Colouring.colours checks the types of this many colours at a time
+_CHUNK = 4096  # Colouring.colours keys this many colours at a time
 
 
-def _checked(chunk: list) -> list:
-    """``chunk`` as it is, unless one of its colours has no canonical key: that raises TypeError."""
-    if not {int, Fraction}.issuperset(map(type, chunk)):
-        for value in chunk:
-            canonical_key(value)
-    return chunk
+def _key(colour):
+    """The key that stands for ``colour`` wherever colours are grouped or compared.
+
+    An integer-valued number keys as the plain int, any other colour as its
+    ``canonical_key``, whose bytes cache their hash; so two colours are equal
+    exactly when their keys are, and a float or a bool raises TypeError.
+    """
+    if type(colour) is int:
+        return colour
+    if isinstance(colour, Fraction):
+        numerator, denominator = colour.as_integer_ratio()
+        if denominator == 1:
+            return numerator
+    elif isinstance(colour, int) and not isinstance(colour, bool):
+        return int(colour)
+    return canonical_key(colour)
+
+
+def _keyed(chunk: list) -> list:
+    """The keys of a chunk of colours: plain ints as they are, plain Fractions directly."""
+    types = set(map(type, chunk))
+    if types == {int}:
+        return chunk
+    if types == {Fraction}:
+        return [b"%d/%d" % ratio if ratio[1] != 1 else ratio[0]
+                for ratio in map(Fraction.as_integer_ratio, chunk)]
+    return list(map(_key, chunk))
 
 
 @dataclass(frozen=True)
@@ -73,12 +95,13 @@ class Colouring:
     """A pure deterministic map from k-subsets of the ground set to colours.
 
     The evaluator receives the subset as a sorted tuple of vertex ids and
-    returns an exact hashable value (int, Fraction, tuple, ...) that
+    returns an exact value (int, Fraction, tuple, ...) that
     ``keys.canonical_key`` serializes.  ``rows``, if given, colours a whole
-    ascending vertex list at once with the evaluator's values.  ``colours``
-    checks every colour it yields, so whole-set passes may compare values.
-    ``scan``, if given, stands in for the default ``greedy_scan`` and must
-    take the same vertices in the same order.
+    ascending vertex list at once with the evaluator's values.  Every pass
+    groups and compares colour keys, not values: an integer-valued number
+    keys as the plain int, any other colour as its canonical key, so no pass
+    hashes a Fraction.  ``scan``, if given, stands in for the default
+    ``greedy_scan`` and must take the same vertices in the same order.
     """
 
     spec: ColouringSpec
@@ -90,10 +113,11 @@ class Colouring:
     def greedy_scan(self, seq: Sequence[int]) -> list[int]:
         """The vertices of ``seq`` that greedy takes, in the order it takes them.
 
-        A vertex v is taken iff the evaluator's raw colours of v with each
-        (k-1)-subset of the vertices taken before it are unused so far and
-        pairwise distinct.  By default those edges are coloured in
-        ``combinations`` order, each at most once, stopping at the first clash.
+        A vertex v is taken iff the colours of v with each (k-1)-subset of
+        the vertices taken before it are unused so far and pairwise distinct.
+        By default those edges are coloured in ``combinations`` order, each at
+        most once, stopping at the first clash, and their keys are compared,
+        so an inexact colour raises.
         """
         if self.scan is not None:
             return self.scan(seq)
@@ -101,26 +125,27 @@ class Colouring:
         chosen: list[int] = []
         used: set = set()
         for v in seq:
-            values = set()
+            keys = set()
             for rest in combinations(chosen, k - 1):
-                value = ev(tuple(sorted(rest + (v,))))
-                if value in used or value in values:
+                key = _key(ev(tuple(sorted(rest + (v,)))))
+                if key in used or key in keys:
                     break
-                values.add(value)
+                keys.add(key)
             else:
                 chosen.append(v)
-                used |= values
+                used |= keys
         return chosen
 
     def colours(self, vertices: Sequence[int]) -> Iterator:
-        """The colours of the k-subsets of ascending ``vertices``, in ``combinations`` order.
+        """The colour keys of the k-subsets of ascending ``vertices``, in ``combinations`` order.
 
-        Read ``_CHUNK`` at a time: a chunk of exact ints and Fractions passes as
-        it is, and every colour of any other is keyed, so an inexact one raises.
+        Keyed ``_CHUNK`` colours at a time: a chunk of plain ints passes as it
+        is, a chunk of plain Fractions is keyed from their integer ratios, and
+        any other colour through ``canonical_key``, so an inexact one raises.
         """
         colours = iter(self.rows(vertices) if self.rows is not None
                        else map(self.evaluator, combinations(vertices, self.spec.k)))
-        return chain.from_iterable(map(_checked, iter(lambda: list(islice(colours, _CHUNK)), [])))
+        return chain.from_iterable(map(_keyed, iter(lambda: list(islice(colours, _CHUNK)), [])))
 
 
 @dataclass(frozen=True)
@@ -159,6 +184,8 @@ class ConflictHypergraph:
         deg = [0] * self.ground.n
         for edges in self.classes:
             m = len(edges)
+            if m < 2:  # a class of one edge holds no pair
+                continue
             for v, d in Counter(v for e in edges for v in e).items():
                 deg[v] += math.comb(m, 2) - math.comb(m - d, 2)
         return deg
@@ -175,7 +202,7 @@ class ConflictHypergraph:
 
 def _colours_within_budget(colouring: Colouring, ground: GroundSet, vertices, budget: int,
                            what: str) -> Iterator:
-    """The colours of the k-subsets of ``vertices``, once their count fits the budget."""
+    """The colour keys of the k-subsets of ``vertices``, once their count fits the budget."""
     k = colouring.spec.k
     if k > ground.n:
         raise ParameterError(f"k={k} exceeds ground set size {ground.n}")
@@ -185,25 +212,26 @@ def _colours_within_budget(colouring: Colouring, ground: GroundSet, vertices, bu
 
 def colour_classes(
     colouring: Colouring, ground: GroundSet, budget: int = DEFAULT_BUDGET, vertices=None
-) -> dict[object, list[tuple[int, ...]]]:
-    """Group every k-subset of ``vertices`` by its checked colour value, in order of first edge.
+) -> dict[int | bytes, list[tuple[int, ...]]]:
+    """Group every k-subset of ``vertices`` by its colour key, in order of first edge.
 
+    The key of an integer colour is the integer itself; see ``Colouring``.
     ``vertices`` is an ascending sequence of ground-set ids and defaults to
     the whole ground set.
     """
     if vertices is None:
         vertices = ground.vertices
     colours = _colours_within_budget(colouring, ground, vertices, budget, "colour_classes")
-    classes: dict[object, list[tuple[int, ...]]] = defaultdict(list)
-    for value, e in zip(colours, combinations(vertices, colouring.spec.k)):
-        classes[value].append(e)
+    classes: dict[int | bytes, list[tuple[int, ...]]] = defaultdict(list)
+    for key, e in zip(colours, combinations(vertices, colouring.spec.k)):
+        classes[key].append(e)
     return dict(classes)
 
 
 def colour_class_sizes(
     colouring: Colouring, ground: GroundSet, budget: int = DEFAULT_BUDGET
 ) -> Counter:
-    """Size of every colour class of the ground set, by colour value; no edge is stored."""
+    """Size of every colour class of the ground set, by colour key; no edge is stored."""
     return Counter(_colours_within_budget(colouring, ground, ground.vertices, budget,
                                           "colour_class_sizes"))
 
@@ -219,16 +247,17 @@ def max_monochromatic_sunflower(
     as witnesses.  For h = 0 the core is empty and the petal count is the
     size of the largest colour class.
     Deterministic: colour classes are scanned in the order of their
-    canonical keys, which the report names, and a class replaces the
-    incumbent only with strictly more petals, at its smallest core with that
-    many.
+    canonical keys, which the report names (an int key n is ``b"%d" % n``),
+    and a class replaces the incumbent only with strictly more petals, at its
+    smallest core with that many.
     """
     k, h = colouring.spec.k, colouring.spec.h
     require_budget(math.comb(ground.n, k) * math.comb(k, h), budget, "verify", "sunflower audit",
                    "(edge, core) incidences")
     classes = colour_classes(colouring, ground, budget=budget)
     best: SunflowerReport | None = None
-    for key, edges in sorted((canonical_key(value), edges) for value, edges in classes.items()):
+    for key, edges in sorted((key if type(key) is bytes else b"%d" % key, edges)
+                             for key, edges in classes.items()):
         if best is not None and len(edges) <= best.petals:
             continue
         cores = Counter(chain.from_iterable(map(combinations, edges, repeat(h))))

@@ -3,10 +3,12 @@
 Colour evaluators return exact Python values (int, Fraction, str, bytes, or
 tuples of these); ``canonical_key`` serializes them so that two values are
 equal exactly when their keys are byte-identical, and refuses a float or a
-bool.  ``hypergraph.Colouring.colours`` checks every colour of a whole-set
-pass with it, so those passes group and count the raw values; only the
-sunflower audit keys its classes, to scan them in key order and name the
-worst one's colour.  Numbers are keyed by value, so an ``int`` or
+bool.  Every pass of ``hypergraph`` groups and compares colour keys: an
+integer-valued number keys as the plain int, whose hash is cheap, and any
+other colour as these bytes, which compute their hash once and cache it, so
+no pass hashes a Fraction.  The sunflower audit scans its classes in the
+order of these bytes, reading an int key n as ``b"%d" % n``, and names the
+worst one's colour by them.  Numbers are keyed by value, so an ``int`` or
 ``Fraction`` subclass shares the key of the equal plain number whatever its
 ``str`` says.
 """
@@ -23,9 +25,8 @@ def canonical_key(value) -> bytes:
     structured values never collide.
     """
     if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return b"%d" % value.numerator
-        return b"%d/%d" % (value.numerator, value.denominator)
+        ratio = value.as_integer_ratio()
+        return b"%d" % ratio[0] if ratio[1] == 1 else b"%d/%d" % ratio
     if isinstance(value, bool):
         raise TypeError("booleans are not colour values")
     if isinstance(value, int):
@@ -36,5 +37,5 @@ def canonical_key(value) -> bytes:
     if isinstance(value, bytes):
         return b"b%d:%s" % (len(value), value)
     if isinstance(value, tuple):
-        return b"(" + b",".join(canonical_key(v) for v in value) + b")"
+        return b"(%s)" % b",".join(map(canonical_key, value))
     raise TypeError(f"no canonical key for {type(value).__name__}")

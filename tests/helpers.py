@@ -80,6 +80,16 @@ def brute_force_sunflower(colouring: Colouring, n: int, h: int) -> tuple:
     return best
 
 
+def colour_key(value):
+    """The key the engine groups a colour by, read back from its canonical bytes.
+
+    Only an integer-valued number has a canonical key of bare decimal digits;
+    that key reads back as the plain int, and every other key stays bytes.
+    """
+    key = canonical_key(value)
+    return int(key) if key.lstrip(b"-").isdigit() else key
+
+
 def keyed_class_sizes(colouring: Colouring, n: int) -> Counter:
     """Size of every colour class of range(n), keying every colour value one at a time."""
     sizes: Counter = Counter()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from helpers import all_subsets, direct_poly_value, is_sidon
+from helpers import all_subsets, colour_key, direct_poly_value, is_sidon
 from rainbowsets.algebra import (
     _MAP_SPAN,
     IntegerInstance,
@@ -277,15 +277,15 @@ def values_and_vertices(draw):
 @given(case=values_and_vertices())
 @example(case=([1, Mark.SEVEN, 2**64 + 1], [0, 1, 2]))
 def test_colours_match_the_evaluator(case):
-    # the whole-set entry point gives the evaluator's colours, equal in value
-    # and type, in combinations order: the Sidon row form, and the default
-    # path of a colouring that has none
+    # the whole-set entry point gives the keys of the evaluator's colours,
+    # equal in value and type, in combinations order: the Sidon row form, and
+    # the default path of a colouring that has none
     values, vertices = case
     poly = poly_colouring(poly_prepare(SymPoly("Q", X_PLUS_Y), values))
     assert poly.rows is None
     for c in (sidon_colouring(IntegerInstance(values=tuple(values))), poly):
         got = list(c.colours(vertices))
-        want = [c.evaluator(e) for e in combinations(vertices, 2)]
+        want = [colour_key(c.evaluator(e)) for e in combinations(vertices, 2)]
         assert got == want
         assert list(map(type, got)) == list(map(type, want))
 

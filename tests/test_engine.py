@@ -2,6 +2,7 @@ import inspect
 import math
 import random
 import sys
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -14,8 +15,16 @@ from helpers import (
     random_colouring,
     reference_greedy,
     reference_sample_and_delete,
+    spiral_coords,
 )
-from rainbowsets.algebra import _MAP_SPAN, IntegerInstance, sidon_colouring
+from rainbowsets.algebra import (
+    _MAP_SPAN,
+    IntegerInstance,
+    SymPoly,
+    poly_colouring,
+    poly_prepare,
+    sidon_colouring,
+)
 from rainbowsets.engine import (
     SamplePlan,
     _shuffled,
@@ -28,12 +37,19 @@ from rainbowsets.engine import (
     verify_rainbow,
 )
 from rainbowsets.errors import BudgetError, ParameterError
+from rainbowsets.geometry import (
+    PointInstance,
+    as_point,
+    circumradius_colouring,
+    similarity_colouring,
+)
 from rainbowsets.hypergraph import (
     Colouring,
     ColouringSpec,
     GroundSet,
     build_conflict_hypergraph,
     colour_classes,
+    validate_lambda,
 )
 
 
@@ -309,7 +325,7 @@ def test_sample_kept_pairs_refused_by_the_shared_builder():
 
 
 def test_sample_float_colours_raise_type_error():
-    # Colouring.colours checks each colour with canonical_key, which has no float encoding
+    # Colouring.colours keys each colour with canonical_key, which has no float encoding
     c = Colouring(ColouringSpec(2, 1, 1), lambda e: e[0] / 2, "halves")
     plan = SamplePlan.from_spec(6, 2, 1, seed=0, p=1.0)
     with pytest.raises(TypeError, match="no canonical key for float"):
@@ -334,14 +350,45 @@ def test_every_colour_value_is_keyed(odd):
         verify_rainbow(c, range(6))
     # float differences of 1..10 round apart, so {1, 2, 3} would pass as
     # rainbow by raw value although 2 - 1 == 3 - 2; verification refuses
-    # the floats, and so greedy, whose scan compares raw values, cannot
-    # certify its subset
+    # the floats, and so does greedy's scan, which compares colour keys
     tenths = Colouring(ColouringSpec(2, 1, 2), lambda e: 0.1 * (e[1] + 1) - 0.1 * (e[0] + 1),
                        "tenths")
     with pytest.raises(TypeError):
         verify_rainbow(tenths, (0, 1, 2))
     with pytest.raises(TypeError):
         greedy_rainbow(tenths, GroundSet(10))
+
+
+def test_no_pass_hashes_a_fraction(monkeypatch):
+    # plane circumradius, plane similarity and polynomial-over-Q colours are
+    # Fractions or tuples of them, and every pass groups and compares their
+    # keys: with Fraction.__hash__ refused, greedy's default scan,
+    # sample-delete, the oracle and the audit give what they gave before
+    points = PointInstance(dim=2, points=tuple(map(as_point, spiral_coords(10))))
+    thirds = [Fraction(v, 3) for v in range(1, 13)]
+    cases = [(circumradius_colouring(points), GroundSet(10)),
+             (similarity_colouring(points), GroundSet(10)),
+             (poly_colouring(poly_prepare(SymPoly("Q", {(1, 0): 1, (0, 1): 1}), thirds)),
+              GroundSet(12))]
+
+    def answers():
+        found = []
+        for c, g in cases:
+            runs = [greedy_rainbow(c, g), greedy_rainbow(c, g, order=3),
+                    sample_and_delete(c, g, SamplePlan(p=0.8, seed=5)), exact_max_rainbow(c, g)]
+            found.append(([(r.subset, r.verified, r.stats) for r in runs], validate_lambda(c, g)))
+        return found
+
+    before = answers()
+    assert all(runs[-1][2]["conflict_pairs"] > 0 for runs, _ in before)
+
+    def refuse(self):
+        raise AssertionError("Fraction hashed")
+
+    monkeypatch.setattr(Fraction, "__hash__", refuse)
+    with pytest.raises(AssertionError, match="Fraction hashed"):
+        hash(Fraction(1, 3))
+    assert answers() == before
 
 
 # ----------------------------------------------------------------- exact

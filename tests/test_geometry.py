@@ -528,9 +528,10 @@ def test_plane_circumradius_and_similarity_need_no_determinant(monkeypatch):
     monkeypatch.setattr(geometry, "det_exact", refuse)
     inst = instance(SIXTHS)
     triangles = [[SIXTHS[i] for i in e] for e in combinations(range(len(SIXTHS)), 3)]
-    radii = list(circumradius_colouring(inst).colours(range(len(SIXTHS))))
+    edges = list(combinations(range(len(SIXTHS)), 3))
+    radii = list(map(circumradius_colouring(inst).evaluator, edges))
     assert radii == [simplex_squared_circumradius(t) for t in triangles]
-    shapes = list(similarity_colouring(inst).colours(range(len(SIXTHS))))
+    shapes = list(map(similarity_colouring(inst).evaluator, edges))
     for (t1, c1), (t2, c2) in combinations(zip(triangles, shapes), 2):
         assert (c1 == c2) == similar_simplices(t1, t2)
     with pytest.raises(AssertionError, match="det_exact called"):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from enum import IntEnum
 from fractions import Fraction
 from itertools import combinations
@@ -11,6 +12,7 @@ from helpers import (
     all_subsets,
     brute_force_pair_degrees,
     brute_force_sunflower,
+    colour_key,
     constant_colouring,
     injective_colouring,
     keyed_class_sizes,
@@ -21,6 +23,7 @@ from rainbowsets.engine import verify_rainbow
 from rainbowsets.errors import BudgetError, ParameterError
 from rainbowsets.hypergraph import (
     _CHUNK,
+    _key,
     Colouring,
     ColouringSpec,
     GroundSet,
@@ -61,7 +64,7 @@ def test_colour_classes_constant():
 
 
 def test_colour_classes_sidon_123():
-    # classes are grouped by colour value, in order of first edge, and not keyed
+    # classes are grouped by colour key, in order of first edge; an int colour is its own key
     c = sidon_colouring(IntegerInstance(values=(1, 2, 3)))
     classes = colour_classes(c, GroundSet(3))
     assert classes == {1: [(0, 1), (1, 2)], 2: [(0, 2)]}
@@ -157,17 +160,74 @@ class Ratio(Fraction):
 ], ids=["intenum", "int-subclass", "fraction-subclass", "fraction-subclass-integral"])
 def test_number_subclasses_key_by_value(value, plain, key):
     # a number is keyed by its value, not by what its str says, so it joins
-    # the class of the equal plain number
+    # the class of the equal plain number: an integer one under the plain
+    # int, any other under its canonical key
     assert value == plain
     assert canonical_key(value) == canonical_key(plain) == key
+    colour = int(key) if type(plain) is int else key
     c = Colouring(ColouringSpec(2, 1, 1), lambda e: value if e == (1, 3) else plain, "subclass")
     classes = colour_classes(c, GroundSet(4))
-    assert classes == {plain: list(combinations(range(4), 2))}
-    assert [canonical_key(v) for v in classes] == [key]
-    assert colour_class_sizes(c, GroundSet(4)) == {plain: 6}
+    assert classes == {colour: list(combinations(range(4), 2))}
+    assert list(map(type, classes)) == [type(colour)]
+    sizes = colour_class_sizes(c, GroundSet(4))
+    assert sizes == {colour: 6} and list(map(type, sizes)) == [type(colour)]
     assert max_monochromatic_sunflower(c, GroundSet(4)).colour == key
     with pytest.raises(TypeError):
         canonical_key(True)
+
+
+# the exact values above, and the int and Fraction subclasses, at any depth
+KEYED_LEAVES = (COLOUR_LEAVES | st.builds(Tagged, st.integers(-12, 12)) | st.just(Size.THREE)
+                | st.builds(Ratio, st.integers(-9, 9), st.integers(1, 3)))
+KEYED_VALUES = st.recursive(
+    KEYED_LEAVES, lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=6
+)
+# a float or a bool, alone or inside a tuple among exact values
+INEXACT_VALUES = st.recursive(
+    st.floats() | st.booleans(),
+    lambda inner: st.tuples(st.lists(KEYED_VALUES, max_size=2), inner,
+                            st.lists(KEYED_VALUES, max_size=2)).map(
+        lambda parts: (*parts[0], parts[1], *parts[2])),
+    max_leaves=3,
+)
+
+
+def drawn_colouring(values) -> Colouring:
+    """Colour each 1-edge (v,) by values[v]."""
+    return Colouring(ColouringSpec(1, 0, 1), lambda e: values[e[0]], "drawn")
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(KEYED_VALUES, max_size=30)
+       | st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3), max_size=30))
+@example(values=[3, Fraction(3), Size.THREE, Tagged(3), Ratio(6, 2), "3", b"3", (3,),
+                 (Fraction(3),), (Tagged(3),)])
+@example(values=[Fraction(1, 2), Ratio(1, 2), Fraction(-4, 2), -2, Fraction(-2, 3)])
+def test_colour_keys_agree_with_canonical_keys(values):
+    # two colours have equal keys exactly when their canonical bytes agree:
+    # an integer-valued number keys as the plain int, whose canonical bytes
+    # are its decimal text, and any other colour as its canonical bytes.
+    # Colouring.colours gives the same keys, whatever path its chunk takes
+    keys = list(map(_key, values))
+    for value, key in zip(values, keys):
+        assert type(key) in (int, bytes)
+        assert (b"%d" % key if type(key) is int else key) == canonical_key(value)
+    for (a, key_a), (b, key_b) in combinations(zip(values, keys), 2):
+        assert (key_a == key_b) == (canonical_key(a) == canonical_key(b))
+    got = list(drawn_colouring(values).colours(range(len(values))))
+    assert got == keys and list(map(type, got)) == list(map(type, keys))
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=INEXACT_VALUES)
+@example(value=1.0)
+@example(value=True)
+@example(value=(Fraction(1, 2), (3, (False,))))
+def test_inexact_colours_have_no_key(value):
+    with pytest.raises(TypeError):
+        _key(value)
+    with pytest.raises(TypeError):
+        list(drawn_colouring([value]).colours(range(1)))
 
 
 # one odd colour among small ints: any exact value, or one that must raise
@@ -186,9 +246,9 @@ ODD_COLOURS = (COLOUR_VALUES | st.floats() | st.booleans()
 @example(seed=0, k=2, n=100, palette=4, odd=Fraction(3), at=4949)
 @example(seed=0, k=2, n=100, palette=4, odd=(3, (3.0,)), at=4949)
 def test_class_sizes_match_keyed_count(seed, k, n, palette, odd, at):
-    # colours are checked a chunk at a time and counted by value; the odd
-    # value at any edge, the first included and the last of C(100, 2) = 4950
-    # (past the first chunk), must still be keyed (or refused) like every other
+    # colours are keyed a chunk at a time and counted by key; the odd value
+    # at any edge, the first included and the last of C(100, 2) = 4950 (past
+    # the first chunk), must still be keyed (or refused) like every other
     assert math.comb(100, 2) > _CHUNK
     edges = list(combinations(range(n), k))
     odd_edge = edges[at % len(edges)]
@@ -201,8 +261,9 @@ def test_class_sizes_match_keyed_count(seed, k, n, palette, odd, at):
             colour_class_sizes(c, GroundSet(n))
     else:
         sizes = colour_class_sizes(c, GroundSet(n))
-        keyed = {canonical_key(value): size for value, size in sizes.items()}
-        assert len(keyed) == len(sizes)  # no two counted values share a key
+        assert sizes == Counter(colour_key(c.evaluator(e)) for e in edges)
+        keyed = {b"%d" % key if type(key) is int else key: size for key, size in sizes.items()}
+        assert len(keyed) == len(sizes)  # no two counted keys share canonical bytes
         assert keyed == expected
 
 
@@ -213,12 +274,15 @@ def test_class_sizes_merge_equal_numbers_only(odd_edge):
 
     edges = list(combinations(range(5), 2))
     others = [e for e in edges if e != odd_edge]
-    assert colour_class_sizes(colouring(Fraction(3)), GroundSet(5)) == {3: 10}
-    assert colour_classes(colouring(Fraction(3)), GroundSet(5)) == {3: edges}
-    assert colour_class_sizes(colouring("3"), GroundSet(5)) == {3: 9, "3": 1}
+    # Fraction(3) merges with 3 under the plain int key; "3" keys apart as
+    # its canonical bytes
+    sizes = colour_class_sizes(colouring(Fraction(3)), GroundSet(5))
+    assert sizes == {3: 10} and list(map(type, sizes)) == [int]
+    classes = colour_classes(colouring(Fraction(3)), GroundSet(5))
+    assert classes == {3: edges} and list(map(type, classes)) == [int]
+    assert colour_class_sizes(colouring("3"), GroundSet(5)) == {3: 9, b"s1:3": 1}
     classes = colour_classes(colouring("3"), GroundSet(5))
-    assert classes == {3: others, "3": [odd_edge]}
-    assert sorted(map(canonical_key, classes)) == [b"3", b"s1:3"]
+    assert classes == {3: others, b"s1:3": [odd_edge]}
     for odd in (3.0, True, (3, (3.0,))):
         with pytest.raises(TypeError):
             colour_class_sizes(colouring(odd), GroundSet(5))
