@@ -12,10 +12,12 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain, filterfalse, repeat
 
 from .errors import ParameterError, ValidationError, require_array, require_exact
 from .hypergraph import Colouring, ColouringSpec
+from .keys import ratio_key
 
 RATIONALS = "Q"
 
@@ -101,12 +103,13 @@ class SymPoly:
         return value.numerator % self.field
 
     def pair_evaluator(self, values):
-        """The map ``(a, b) -> p(values[a], values[b])`` on field elements, in integers.
+        """The map ``(a, b) ->`` the colour key of ``p(values[a], values[b])``, in integers.
 
         The values are scaled by their common denominator L and the
         coefficients by theirs, D, so each term becomes an integer multiple of
-        1 / (D * L**degree); over GF(p), L = D = 1 and the total is reduced
-        mod p.  Powers of every value are computed once.
+        1 / (D * L**degree), and ``ratio_key`` reduces the total over it; over
+        GF(p), L = D = 1 and the total is reduced mod p.  No Fraction is
+        built, and powers of every value are computed once.
         """
         degree = self.degree
         scale = math.lcm(*(v.denominator for v in values))
@@ -116,15 +119,9 @@ class SymPoly:
         xs = [v.numerator * (scale // v.denominator) for v in values]
         powers = [[x**e for e in range(degree + 1)] for x in xs]
         if self.field == RATIONALS:
-            denominator = clear * scale**degree
-
-            def finish(total):
-                return Fraction(total, denominator)
+            finish = partial(ratio_key, denominator=clear * scale**degree)
         else:
-            p = self.field
-
-            def finish(total):
-                return total % p
+            finish = self.field.__rmod__  # total -> total % p
 
         def evaluator(ids: tuple[int, ...]):
             xa, xb = powers[ids[0]], powers[ids[1]]

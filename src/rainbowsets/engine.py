@@ -102,7 +102,8 @@ class ExponentFit:
 def verify_rainbow(colouring: Colouring, subset, budget: int = DEFAULT_BUDGET) -> bool:
     """Exhaustively check that all inner k-edges of the subset have distinct colours.
 
-    Subsets smaller than k are vacuously rainbow.
+    Subsets smaller than k are vacuously rainbow; a colour not keyed (see
+    ``Colouring``), such as a float, raises TypeError.
     """
     k = colouring.spec.k
     s = tuple(sorted(set(subset)))
@@ -110,7 +111,10 @@ def verify_rainbow(colouring: Colouring, subset, budget: int = DEFAULT_BUDGET) -
         return True
     edges = math.comb(len(s), k)
     require_budget(edges, budget, "verify", "verify_rainbow", "colour evaluations")
-    return len(set(colouring.colours(s))) == edges
+    keys = list(colouring.colours(s))
+    if not {int, bytes}.issuperset(map(type, keys)):
+        raise TypeError("colour keys must be plain ints or bytes; see Colouring.from_values")
+    return len(set(keys)) == edges
 
 
 def _shuffled(n: int, seed: int) -> list[int]:
@@ -153,8 +157,8 @@ def greedy_rainbow(colouring: Colouring, ground: GroundSet, order: int | None = 
     are); the result is maximal for the order, since a rejected vertex only
     accumulates more constraints later.  The scan is the colouring's,
     ``Colouring.greedy_scan``, whose default loop compares colour keys; the
-    closing verification reads the keys through ``Colouring.colours``, so an
-    inexact colour raises either way.  ``runtime_ms`` covers the whole call:
+    closing verification reads the keys through ``Colouring.colours`` and
+    refuses a colour that is not a key.  ``runtime_ms`` covers the whole call:
     the shuffle, the scan and the verification.
     """
     t0 = time.perf_counter()

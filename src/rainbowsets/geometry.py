@@ -2,11 +2,12 @@
 
 General position is decided in integers, on the points scaled by their
 common denominator.  In the plane, circumradius and similarity colours are
-closed forms in those integer points; volume at any dimension, and the other
-two colourings above the plane, take Fraction Cayley-Menger determinants.
-Every colour is an exact Fraction or tuple of Fractions and there is no
-floating-point path anywhere, so colour equality is genuine equality of the
-underlying geometric quantity.
+closed forms in those integer points, keyed from integer ratios by
+``math.gcd`` with no Fraction built.  Volume at any dimension, and the other
+two colourings above the plane, take Fraction Cayley-Menger determinants,
+whose values ``Colouring.from_values`` keys.  There is no floating-point
+path anywhere, so colour equality is genuine equality of the underlying
+geometric quantity.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from itertools import chain, combinations, permutations
 from .errors import (BudgetError, ParameterError, ValidationError, require_array, require_budget,
                      require_exact)
 from .hypergraph import DEFAULT_BUDGET, Colouring, ColouringSpec
+from .keys import ratio_key
 
 Point = tuple[Fraction, ...]
 
@@ -82,8 +84,8 @@ def _circumradius(dist, idxs) -> Fraction:
     return -det_exact([[dist[i][j] for j in idxs] for i in idxs]) / (2 * _cayley_menger(dist, idxs))
 
 
-def _plane_circumradius(pts, dist, denominator, idxs) -> Fraction:
-    """Squared circumradius of a triangle of integer points scaled by L.
+def _plane_circumradius(pts, dist, denominator, idxs) -> int | bytes:
+    """The key of the squared circumradius of a triangle of integer points scaled by L.
 
     R^2 = |ab|^2 |ac|^2 |bc|^2 / (4 cross^2 L^2), where cross = (b - a) x (c - a)
     is twice the signed area and ``denominator`` is 4 L^2.
@@ -92,20 +94,23 @@ def _plane_circumradius(pts, dist, denominator, idxs) -> Fraction:
     (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
     cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     row = dist[a]
-    return Fraction(row[b] * row[c] * dist[b][c], denominator * cross * cross)
+    return ratio_key(row[b] * row[c] * dist[b][c], denominator * cross * cross)
 
 
-def _plane_similarity(dist, idxs) -> tuple[Fraction, ...]:
-    """The triangle's squared sides in ascending order, each over twice their sum.
+def _plane_similarity(dist, idxs) -> bytes:
+    """The key of the triangle's squared sides in ascending order, each over twice their sum.
 
     Every order of the sides is some ordering of the vertices, so this is
-    ``_similarity_profile``'s least tuple; the scale L cancels.
+    ``_similarity_profile``'s least tuple; the scale L cancels.  Each ratio
+    lies in (0, 1/2), so it keys as ``n/d`` in lowest terms.
     """
     a, b, c = idxs
     row = dist[a]
     s1, s2, s3 = sorted((row[b], row[c], dist[b][c]))
     total = 2 * (s1 + s2 + s3)
-    return Fraction(s1, total), Fraction(s2, total), Fraction(s3, total)
+    g1, g2, g3 = math.gcd(s1, total), math.gcd(s2, total), math.gcd(s3, total)
+    return b"(%d/%d,%d/%d,%d/%d)" % (s1 // g1, total // g1, s2 // g2, total // g2,
+                                     s3 // g3, total // g3)
 
 
 def _similarity_profile(dist, idxs) -> tuple[Fraction, ...]:
@@ -323,10 +328,10 @@ def circumradius_colouring(inst: PointInstance, budget: int = DEFAULT_BUDGET) ->
     spec = ColouringSpec(k=inst.dim + 1, h=inst.dim, max_petals=2)
     if inst.dim == 2:
         scale, pts = _integer_points(inst)
-        evaluator = partial(_plane_circumradius, pts, _distance_matrix(pts), 4 * scale * scale)
-    else:
-        evaluator = partial(_circumradius, _distance_matrix(inst.points))
-    return Colouring(spec, evaluator, "circumradius")
+        return Colouring(spec, partial(_plane_circumradius, pts, _distance_matrix(pts),
+                                       4 * scale * scale), "circumradius")
+    return Colouring.from_values(spec, partial(_circumradius, _distance_matrix(inst.points)),
+                                 "circumradius")
 
 
 def volume_colouring(inst: PointInstance, budget: int = DEFAULT_BUDGET) -> Colouring:
@@ -336,7 +341,7 @@ def volume_colouring(inst: PointInstance, budget: int = DEFAULT_BUDGET) -> Colou
     """
     _require_general_position(inst, False, budget)
     spec = ColouringSpec(k=inst.dim + 1, h=inst.dim, max_petals=2 * inst.dim)
-    return Colouring(spec, partial(_volume, _distance_matrix(inst.points)), "volume")
+    return Colouring.from_values(spec, partial(_volume, _distance_matrix(inst.points)), "volume")
 
 
 def similarity_colouring(inst: PointInstance, budget: int = DEFAULT_BUDGET) -> Colouring:
@@ -347,10 +352,10 @@ def similarity_colouring(inst: PointInstance, budget: int = DEFAULT_BUDGET) -> C
     _require_general_position(inst, False, budget)
     spec = ColouringSpec(k=inst.dim + 1, h=inst.dim, max_petals=2 * math.factorial(inst.dim + 1))
     if inst.dim == 2:
-        evaluator = partial(_plane_similarity, _distance_matrix(_integer_points(inst)[1]))
-    else:
-        evaluator = partial(_similarity_profile, _distance_matrix(inst.points))
-    return Colouring(spec, evaluator, "similarity")
+        dist = _distance_matrix(_integer_points(inst)[1])
+        return Colouring(spec, partial(_plane_similarity, dist), "similarity")
+    return Colouring.from_values(spec, partial(_similarity_profile, _distance_matrix(inst.points)),
+                                 "similarity")
 
 
 def points_to_obj(inst: PointInstance) -> dict:

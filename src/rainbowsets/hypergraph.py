@@ -12,8 +12,8 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice, repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import chain, combinations, repeat
+from typing import Callable, Iterable, Sequence
 
 from .errors import ParameterError, require_budget
 from .keys import canonical_key
@@ -22,11 +22,9 @@ from .keys import canonical_key
 # caller raises the budget explicitly; they fail loudly rather than sample.
 DEFAULT_BUDGET = 5_000_000
 
-_CHUNK = 4096  # Colouring.colours keys this many colours at a time
-
 
 def _key(colour):
-    """The key that stands for ``colour`` wherever colours are grouped or compared.
+    """The key that stands for the exact value ``colour`` (see ``Colouring.from_values``).
 
     An integer-valued number keys as the plain int, any other colour as its
     ``canonical_key``, whose bytes cache their hash; so two colours are equal
@@ -41,17 +39,6 @@ def _key(colour):
     elif isinstance(colour, int) and not isinstance(colour, bool):
         return int(colour)
     return canonical_key(colour)
-
-
-def _keyed(chunk: list) -> list:
-    """The keys of a chunk of colours: plain ints as they are, plain Fractions directly."""
-    types = set(map(type, chunk))
-    if types == {int}:
-        return chunk
-    if types == {Fraction}:
-        return [b"%d/%d" % ratio if ratio[1] != 1 else ratio[0]
-                for ratio in map(Fraction.as_integer_ratio, chunk)]
-    return list(map(_key, chunk))
 
 
 @dataclass(frozen=True)
@@ -92,16 +79,17 @@ class ColouringSpec:
 
 @dataclass(frozen=True, eq=False)
 class Colouring:
-    """A pure deterministic map from k-subsets of the ground set to colours.
+    """A pure deterministic map from k-subsets of the ground set to colour keys.
 
     The evaluator receives the subset as a sorted tuple of vertex ids and
-    returns an exact value (int, Fraction, tuple, ...) that
-    ``keys.canonical_key`` serializes.  ``rows``, if given, colours a whole
-    ascending vertex list at once with the evaluator's values.  Every pass
-    groups and compares colour keys, not values: an integer-valued number
-    keys as the plain int, any other colour as its canonical key, so no pass
-    hashes a Fraction.  ``scan``, if given, stands in for the default
-    ``greedy_scan`` and must take the same vertices in the same order.
+    returns the key of its colour: a plain int for an integer-valued colour,
+    else the colour's ``keys.canonical_key`` bytes, so two colours are equal
+    exactly when their keys are and no pass hashes a Fraction.  A colouring
+    given by exact values (int, Fraction, tuple, ...) is built with
+    ``from_values``, which keys each one.  ``rows``, if given, gives the keys
+    of a whole ascending vertex list at once.  ``scan``, if given, stands in
+    for the default ``greedy_scan`` and must take the same vertices in the
+    same order.
     """
 
     spec: ColouringSpec
@@ -110,14 +98,18 @@ class Colouring:
     rows: Callable[[Sequence[int]], Iterable] | None = None
     scan: Callable[[Sequence[int]], list[int]] | None = None
 
+    @classmethod
+    def from_values(cls, spec: ColouringSpec, values: Callable, label: str) -> Colouring:
+        """The colouring that keys each exact value of ``values`` by ``_key``, so a float raises."""
+        return cls(spec, lambda edge: _key(values(edge)), label)
+
     def greedy_scan(self, seq: Sequence[int]) -> list[int]:
         """The vertices of ``seq`` that greedy takes, in the order it takes them.
 
         A vertex v is taken iff the colours of v with each (k-1)-subset of
         the vertices taken before it are unused so far and pairwise distinct.
         By default those edges are coloured in ``combinations`` order, each at
-        most once, stopping at the first clash, and their keys are compared,
-        so an inexact colour raises.
+        most once, stopping at the first clash, and their keys are compared.
         """
         if self.scan is not None:
             return self.scan(seq)
@@ -127,7 +119,7 @@ class Colouring:
         for v in seq:
             keys = set()
             for rest in combinations(chosen, k - 1):
-                key = _key(ev(tuple(sorted(rest + (v,)))))
+                key = ev(tuple(sorted(rest + (v,))))
                 if key in used or key in keys:
                     break
                 keys.add(key)
@@ -136,16 +128,10 @@ class Colouring:
                 used |= keys
         return chosen
 
-    def colours(self, vertices: Sequence[int]) -> Iterator:
-        """The colour keys of the k-subsets of ascending ``vertices``, in ``combinations`` order.
-
-        Keyed ``_CHUNK`` colours at a time: a chunk of plain ints passes as it
-        is, a chunk of plain Fractions is keyed from their integer ratios, and
-        any other colour through ``canonical_key``, so an inexact one raises.
-        """
-        colours = iter(self.rows(vertices) if self.rows is not None
-                       else map(self.evaluator, combinations(vertices, self.spec.k)))
-        return chain.from_iterable(map(_keyed, iter(lambda: list(islice(colours, _CHUNK)), [])))
+    def colours(self, vertices: Sequence[int]) -> Iterable:
+        """The colour keys of the k-subsets of ascending ``vertices``, in combinations order."""
+        return (self.rows(vertices) if self.rows is not None
+                else map(self.evaluator, combinations(vertices, self.spec.k)))
 
 
 @dataclass(frozen=True)
@@ -201,7 +187,7 @@ class ConflictHypergraph:
 
 
 def _colours_within_budget(colouring: Colouring, ground: GroundSet, vertices, budget: int,
-                           what: str) -> Iterator:
+                           what: str) -> Iterable:
     """The colour keys of the k-subsets of ``vertices``, once their count fits the budget."""
     k = colouring.spec.k
     if k > ground.n:

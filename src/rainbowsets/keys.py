@@ -1,18 +1,18 @@
 """Canonical byte keys for exact colour values.
 
-Colour evaluators return exact Python values (int, Fraction, str, bytes, or
-tuples of these); ``canonical_key`` serializes them so that two values are
-equal exactly when their keys are byte-identical, and refuses a float or a
-bool.  Every pass of ``hypergraph`` groups and compares colour keys: an
-integer-valued number keys as the plain int, whose hash is cheap, and any
-other colour as these bytes, which compute their hash once and cache it, so
-no pass hashes a Fraction.  The sunflower audit scans its classes in the
-order of these bytes, reading an int key n as ``b"%d" % n``, and names the
-worst one's colour by them.  Numbers are keyed by value, so an ``int`` or
-``Fraction`` subclass shares the key of the equal plain number whatever its
-``str`` says.
+Every colouring's evaluator returns colour keys, and every pass of
+``hypergraph`` groups and compares them: an integer-valued colour keys as
+the plain int, any other as its ``canonical_key`` bytes, which hash once and
+cache it.  ``canonical_key`` serializes exact values (int, Fraction, str,
+bytes, or tuples of these) so that two are equal exactly when their keys
+are, and refuses a float or a bool; ``ratio_key`` keys a ratio of integers
+with no Fraction built.  The sunflower audit scans its classes in the order
+of these bytes, reading an int key n as ``b"%d" % n``, and names the worst
+one's colour by them.  Numbers are keyed by value, so an ``int`` or
+``Fraction`` subclass shares the key of the equal plain number.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -39,3 +39,11 @@ def canonical_key(value) -> bytes:
     if isinstance(value, tuple):
         return b"(%s)" % b",".join(map(canonical_key, value))
     raise TypeError(f"no canonical key for {type(value).__name__}")
+
+
+def ratio_key(numerator: int, denominator: int) -> int | bytes:
+    """The key of numerator / denominator, denominator > 0: an int, else b"n/d" in lowest terms."""
+    g = math.gcd(numerator, denominator)
+    if g == denominator:
+        return numerator // g
+    return b"%d/%d" % (numerator // g, denominator // g)

@@ -20,7 +20,7 @@ from rainbowsets.keys import canonical_key
 
 def injective_colouring(k=2, h=1, declared=1) -> Colouring:
     """Every edge its own colour: the edge tuple itself is the value."""
-    return Colouring(ColouringSpec(k, h, declared), lambda e: e, "injective")
+    return Colouring.from_values(ColouringSpec(k, h, declared), lambda e: e, "injective")
 
 
 def constant_colouring(k=2, h=1, declared=1) -> Colouring:
@@ -90,11 +90,11 @@ def colour_key(value):
     return int(key) if key.lstrip(b"-").isdigit() else key
 
 
-def keyed_class_sizes(colouring: Colouring, n: int) -> Counter:
-    """Size of every colour class of range(n), keying every colour value one at a time."""
+def keyed_class_sizes(value, k: int, n: int) -> Counter:
+    """Size of each colour class of range(n)'s k-edges, keying each value(e) one at a time."""
     sizes: Counter = Counter()
-    for e in combinations(range(n), colouring.spec.k):
-        sizes[canonical_key(colouring.evaluator(e))] += 1
+    for e in combinations(range(n), k):
+        sizes[canonical_key(value(e))] += 1
     return sizes
 
 
@@ -292,6 +292,22 @@ def similar_simplices(p, q) -> bool:
         if all(x * dq[0] == y * dp[0] for x, y in zip(dp, dq)):
             return True
     return False
+
+
+def similarity_profile(points):
+    """The similarity colour by its definition, in Fractions from the coordinates.
+
+    Over every ordering of the points, the least tuple of the squared
+    distances between positions i < j, each over the sum of the squared
+    distances over all ordered pairs of points.
+    """
+    squared = [[sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(u, v)) for v in points]
+               for u in points]
+    pairs = list(combinations(range(len(points)), 2))
+    least = min(tuple(squared[perm[i]][perm[j]] for i, j in pairs)
+                for perm in permutations(range(len(points))))
+    total = sum(map(sum, squared))
+    return tuple(x / total for x in least)
 
 
 def simplex_squared_volume(points):

@@ -15,6 +15,7 @@ import pytest
 
 from helpers import (
     brute_force_max_petals,
+    colour_key,
     parabola_max_rainbow,
     parabola_squared_areas,
     random_colouring,
@@ -52,7 +53,6 @@ from rainbowsets.hypergraph import (
     max_monochromatic_sunflower,
     validate_lambda,
 )
-from rainbowsets.keys import canonical_key
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -229,14 +229,14 @@ def test_declared_petal_bounds_hold():
 
 
 def _simplex_colour(factory, points):
-    """The colour ``factory`` gives the validated simplex on exactly these d+1 points."""
+    """The colour key ``factory`` gives the validated simplex on exactly these d+1 points."""
     inst = PointInstance(dim=len(points[0]), points=tuple(as_point(p) for p in points))
     return factory(inst.validate()).evaluator(tuple(range(len(points))))
 
 
 def _similarity_key(points) -> bytes:
-    """Key of the triangle's similarity class, read from the similarity colouring."""
-    return canonical_key(_simplex_colour(similarity_colouring, points))
+    """Key of the triangle's similarity class: the similarity colouring's colour key."""
+    return _simplex_colour(similarity_colouring, points)
 
 
 def test_exact_geometry_values():
@@ -245,10 +245,12 @@ def test_exact_geometry_values():
     for d in (2, 3, 4):
         pts = [tuple(0 for _ in range(d))]
         pts += [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
-        if _simplex_colour(volume_colouring, pts) != Fraction(1, math.factorial(d) ** 2):
+        unit = colour_key(Fraction(1, math.factorial(d) ** 2))
+        if _simplex_colour(volume_colouring, pts) != unit:
             problems.append(f"unit simplex d={d}")
 
-    if _simplex_colour(circumradius_colouring, [(0, 0), (3, 0), (0, 4)]) != Fraction(25, 4):
+    if (_simplex_colour(circumradius_colouring, [(0, 0), (3, 0), (0, 4)])
+            != colour_key(Fraction(25, 4))):
         problems.append("circumradius 3-4-5")
 
     rng = random.Random(99)

@@ -236,9 +236,44 @@ def test_poly_colouring_matches_direct_evaluation(case):
     raw = {Fraction(v) if field == "Q" else v % field: v for v in values}
     for a, b in combinations(range(len(prep.kept)), 2):
         expected = direct_poly_value(coeffs, raw[prep.kept[a]], raw[prep.kept[b]], modulus)
-        value = c.evaluator((a, b))
-        assert value == expected
-        assert type(value) is type(expected)
+        key, want = c.evaluator((a, b)), colour_key(expected)
+        assert key == want
+        assert type(key) is type(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=poly_cases())
+@example(case=("Q", X_PLUS_Y, [-2, 2, 5]))  # totals 0, 3 and 7
+@example(case=("Q", X_PLUS_Y, [-9, 2, Fraction(-7, 3)]))  # negative: -7, -34/3, -1/3
+@example(case=("Q", {(1, 1): Fraction(-1, 2), (1, 0): 1, (0, 1): 1}, [Fraction(4, 3), 2, -6]))
+@example(case=(101, {(2, 0): 1, (0, 2): 1, (1, 1): -2}, [3, 50, -7]))  # (x - y)^2 mod 101
+def test_kernel_keys_match_the_definitions(case):
+    # a polynomial colour's key over Q is its integer total reduced over the
+    # colouring's constant denominator: the int when the value is integral,
+    # 0 and negatives included, else b"n/d" with the sign on n; over GF(p)
+    # it is the residue.  Every whole-set key equals the key of the value
+    # summed term by term, in value and type, and so does each Sidon key
+    field, coeffs, values = case
+    try:
+        prep = poly_prepare(SymPoly(field, coeffs), values)
+    except ParameterError:
+        reject()  # zero after reduction mod p, of degree 0, or values equal mod p
+    modulus = None if field == "Q" else field
+    raw = {Fraction(v) if field == "Q" else v % field: v for v in values}
+    edges = list(combinations(range(len(prep.kept)), 2))
+    want = [colour_key(direct_poly_value(coeffs, raw[prep.kept[a]], raw[prep.kept[b]], modulus))
+            for a, b in edges]
+    poly = poly_colouring(prep)
+    for got in (list(poly.colours(range(len(prep.kept)))), list(map(poly.evaluator, edges))):
+        assert got == want
+        assert list(map(type, got)) == list(map(type, want))
+    integers = sorted({abs(int(v)) + 1 for v in values})
+    sidon = sidon_colouring(IntegerInstance(values=tuple(integers)))
+    edges = list(combinations(range(len(integers)), 2))
+    assert list(sidon.colours(range(len(integers)))) == [
+        colour_key(abs(integers[b] - integers[a])) for a, b in edges]
+    assert [sidon.evaluator(e) for e in edges] == [
+        colour_key(abs(integers[b] - integers[a])) for a, b in edges]
 
 
 def test_poly_lambda_audit():
@@ -277,15 +312,15 @@ def values_and_vertices(draw):
 @given(case=values_and_vertices())
 @example(case=([1, Mark.SEVEN, 2**64 + 1], [0, 1, 2]))
 def test_colours_match_the_evaluator(case):
-    # the whole-set entry point gives the keys of the evaluator's colours,
-    # equal in value and type, in combinations order: the Sidon row form, and
-    # the default path of a colouring that has none
+    # the whole-set entry point gives the evaluator's colour keys, equal in
+    # value and type, in combinations order: the Sidon row form, and the
+    # default path of a colouring that has none
     values, vertices = case
     poly = poly_colouring(poly_prepare(SymPoly("Q", X_PLUS_Y), values))
     assert poly.rows is None
     for c in (sidon_colouring(IntegerInstance(values=tuple(values))), poly):
         got = list(c.colours(vertices))
-        want = [colour_key(c.evaluator(e)) for e in combinations(vertices, 2)]
+        want = [c.evaluator(e) for e in combinations(vertices, 2)]
         assert got == want
         assert list(map(type, got)) == list(map(type, want))
 

@@ -325,8 +325,8 @@ def test_sample_kept_pairs_refused_by_the_shared_builder():
 
 
 def test_sample_float_colours_raise_type_error():
-    # Colouring.colours keys each colour with canonical_key, which has no float encoding
-    c = Colouring(ColouringSpec(2, 1, 1), lambda e: e[0] / 2, "halves")
+    # a value colouring keys each colour with canonical_key, which has no float encoding
+    c = Colouring.from_values(ColouringSpec(2, 1, 1), lambda e: e[0] / 2, "halves")
     plan = SamplePlan.from_spec(6, 2, 1, seed=0, p=1.0)
     with pytest.raises(TypeError, match="no canonical key for float"):
         sample_and_delete(c, GroundSet(6), plan)
@@ -335,12 +335,13 @@ def test_sample_float_colours_raise_type_error():
 @pytest.mark.parametrize("odd", [1.0, True, (1, (2.0,))])
 def test_every_colour_value_is_keyed(odd):
     # 1 == 1.0 == True, so grouping unchecked raw values would put the last
-    # edge in the class of 1 and let the float or bool through;
-    # Colouring.colours, which indexing, counting and verification read,
-    # refuses it, or a float nested in a tuple, wherever it appears.  The
-    # plan keeps no vertex, so only the counting pass over the whole ground
-    # set sees the last edge.
-    c = Colouring(ColouringSpec(2, 1, 1), lambda e: odd if e == (4, 5) else 1, "mixed")
+    # edge in the class of 1 and let the float or bool through; a colouring
+    # built from values keys each one as it is coloured, so indexing,
+    # counting and verification refuse it, or a float nested in a tuple,
+    # wherever it appears.  The plan keeps no vertex, so only the counting
+    # pass over the whole ground set sees the last edge.
+    c = Colouring.from_values(ColouringSpec(2, 1, 1), lambda e: odd if e == (4, 5) else 1,
+                              "mixed")
     plan = SamplePlan(p=1e-9, seed=0)
     with pytest.raises(TypeError):
         sample_and_delete(c, GroundSet(6), plan)
@@ -351,35 +352,58 @@ def test_every_colour_value_is_keyed(odd):
     # float differences of 1..10 round apart, so {1, 2, 3} would pass as
     # rainbow by raw value although 2 - 1 == 3 - 2; verification refuses
     # the floats, and so does greedy's scan, which compares colour keys
-    tenths = Colouring(ColouringSpec(2, 1, 2), lambda e: 0.1 * (e[1] + 1) - 0.1 * (e[0] + 1),
-                       "tenths")
+    tenths = Colouring.from_values(ColouringSpec(2, 1, 2),
+                                   lambda e: 0.1 * (e[1] + 1) - 0.1 * (e[0] + 1), "tenths")
     with pytest.raises(TypeError):
         verify_rainbow(tenths, (0, 1, 2))
     with pytest.raises(TypeError):
         greedy_rainbow(tenths, GroundSet(10))
 
 
-def test_no_pass_hashes_a_fraction(monkeypatch):
-    # plane circumradius, plane similarity and polynomial-over-Q colours are
-    # Fractions or tuples of them, and every pass groups and compares their
-    # keys: with Fraction.__hash__ refused, greedy's default scan,
-    # sample-delete, the oracle and the audit give what they gave before
+def test_verification_refuses_colours_that_are_not_keys():
+    # a colouring built directly returns keys; verification checks that each
+    # colour it compares is a plain int or bytes, so raw float colours, which
+    # would certify {1, 2, 3} of 1..10 although 2 - 1 == 3 - 2, raise, and
+    # so do raw Fractions and bools
+    spec = ColouringSpec(2, 1, 2)
+    raw = [Colouring(spec, lambda e: 0.1 * (e[1] + 1) - 0.1 * (e[0] + 1), "tenths"),
+           Colouring(spec, lambda e: Fraction(e[1] - e[0], 3), "thirds"),
+           Colouring(spec, lambda e: e[0] == 0, "bools")]
+    for c in raw:
+        with pytest.raises(TypeError, match="colour keys must be plain ints or bytes"):
+            verify_rainbow(c, (0, 1, 2))
+        with pytest.raises(TypeError, match="colour keys must be plain ints or bytes"):
+            greedy_rainbow(c, GroundSet(10))
+    assert verify_rainbow(Colouring(spec, lambda e: b"%d" % (e[1] - e[0]), "bytes"), (0, 1, 3))
+
+
+def rational_cases():
+    """Plane circumradius, plane similarity and polynomial-over-Q colourings with conflicts."""
     points = PointInstance(dim=2, points=tuple(map(as_point, spiral_coords(10))))
     thirds = [Fraction(v, 3) for v in range(1, 13)]
-    cases = [(circumradius_colouring(points), GroundSet(10)),
-             (similarity_colouring(points), GroundSet(10)),
-             (poly_colouring(poly_prepare(SymPoly("Q", {(1, 0): 1, (0, 1): 1}), thirds)),
-              GroundSet(12))]
+    return [(circumradius_colouring(points), GroundSet(10)),
+            (similarity_colouring(points), GroundSet(10)),
+            (poly_colouring(poly_prepare(SymPoly("Q", {(1, 0): 1, (0, 1): 1}), thirds)),
+             GroundSet(12))]
 
-    def answers():
-        found = []
-        for c, g in cases:
-            runs = [greedy_rainbow(c, g), greedy_rainbow(c, g, order=3),
-                    sample_and_delete(c, g, SamplePlan(p=0.8, seed=5)), exact_max_rainbow(c, g)]
-            found.append(([(r.subset, r.verified, r.stats) for r in runs], validate_lambda(c, g)))
-        return found
 
-    before = answers()
+def rational_answers(cases):
+    """Greedy (natural and seeded order), sample-delete, the oracle and the audit of each case."""
+    found = []
+    for c, g in cases:
+        runs = [greedy_rainbow(c, g), greedy_rainbow(c, g, order=3),
+                sample_and_delete(c, g, SamplePlan(p=0.8, seed=5)), exact_max_rainbow(c, g)]
+        found.append(([(r.subset, r.verified, r.stats) for r in runs], validate_lambda(c, g)))
+    return found
+
+
+def test_no_pass_hashes_a_fraction(monkeypatch):
+    # the colours of these colourings are rationals, and every pass groups
+    # and compares their keys: with Fraction.__hash__ refused, greedy's
+    # default scan, sample-delete, the oracle and the audit give what they
+    # gave before
+    cases = rational_cases()
+    before = rational_answers(cases)
     assert all(runs[-1][2]["conflict_pairs"] > 0 for runs, _ in before)
 
     def refuse(self):
@@ -388,7 +412,24 @@ def test_no_pass_hashes_a_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__hash__", refuse)
     with pytest.raises(AssertionError, match="Fraction hashed"):
         hash(Fraction(1, 3))
-    assert answers() == before
+    assert rational_answers(cases) == before
+
+
+def test_plane_and_poly_kernels_build_no_fraction(monkeypatch):
+    # the plane circumradius, plane similarity and polynomial-over-Q kernels
+    # give their keys from integers: once the colourings are built, with
+    # Fraction.__new__ refused, every algorithm and the audit give what they
+    # gave before
+    cases = rational_cases()
+    before = rational_answers(cases)
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("Fraction built")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    with pytest.raises(AssertionError, match="Fraction built"):
+        Fraction(1, 3)
+    assert rational_answers(cases) == before
 
 
 # ----------------------------------------------------------------- exact
@@ -448,7 +489,7 @@ def test_exact_refuses_a_search_deeper_than_the_interpreter_allows():
     # greedy keeps vertex 0 and so loses 3 and 6; the optimum drops 0 alone,
     # so the search runs down every position before it improves on greedy
     clashes = {(0, 1): "a", (2, 3): "a", (0, 4): "b", (5, 6): "b"}
-    c = Colouring(ColouringSpec(2, 1, 2), lambda e: clashes.get(e, e), "two-clashes")
+    c = Colouring.from_values(ColouringSpec(2, 1, 2), lambda e: clashes.get(e, e), "two-clashes")
     assert exact_max_rainbow(c, GroundSet(120)).size == 119
     depth = len(inspect.stack(0))
     limit = sys.getrecursionlimit()

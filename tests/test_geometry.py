@@ -6,14 +6,16 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from helpers import (
     circumcentre,
+    colour_key,
     general_position_witnesses,
     lifted_determinant,
     similar_simplices,
+    similarity_profile,
     simplex_squared_circumradius,
     simplex_squared_volume,
 )
@@ -33,7 +35,6 @@ from rainbowsets.geometry import (
     volume_colouring,
 )
 from rainbowsets.hypergraph import GroundSet, validate_lambda
-from rainbowsets.keys import canonical_key
 
 
 def instance(points) -> PointInstance:
@@ -41,7 +42,7 @@ def instance(points) -> PointInstance:
 
 
 def simplex_colour(factory, points):
-    """The colour ``factory`` gives the simplex on exactly these d+1 points.
+    """The colour key ``factory`` gives the simplex on exactly these d+1 points.
 
     The factory checks the points first, so a degenerate simplex raises
     ``ValidationError`` before any colour is computed.
@@ -64,14 +65,15 @@ def rational_triangle(rng, bound=50):
 
 
 def test_squared_volume_unit_right_triangle():
-    assert simplex_colour(volume_colouring, [(0, 0), (1, 0), (0, 1)]) == Fraction(1, 4)
+    assert simplex_colour(volume_colouring, [(0, 0), (1, 0), (0, 1)]) == colour_key(Fraction(1, 4))
 
 
 def test_squared_volume_corner_simplices():
     for d in (2, 3, 4):
         pts = [tuple(0 for _ in range(d))]
         pts += [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
-        assert simplex_colour(volume_colouring, pts) == Fraction(1, math.factorial(d) ** 2)
+        assert (simplex_colour(volume_colouring, pts)
+                == colour_key(Fraction(1, math.factorial(d) ** 2)))
 
 
 def test_squared_volume_degenerate():
@@ -84,7 +86,7 @@ def test_squared_volume_invariances():
     for _ in range(20):
         pts = rational_triangle(rng)
         base = simplex_colour(volume_colouring, pts)
-        assert base == simplex_squared_volume(pts)
+        assert base == colour_key(simplex_squared_volume(pts))
         shuffled = list(pts)
         rng.shuffle(shuffled)
         assert simplex_colour(volume_colouring, shuffled) == base
@@ -105,19 +107,21 @@ def test_squared_volume_matches_leibniz_oracle(points):
         with pytest.raises(ValidationError):
             simplex_colour(volume_colouring, points)
     else:
-        assert simplex_colour(volume_colouring, points) == expected
+        assert simplex_colour(volume_colouring, points) == colour_key(expected)
 
 
 # ------------------------------------------------------- circumradius
 
 
 def test_circumradius_right_triangle():
-    assert simplex_colour(circumradius_colouring, [(0, 0), (3, 0), (0, 4)]) == Fraction(25, 4)
+    assert (simplex_colour(circumradius_colouring, [(0, 0), (3, 0), (0, 4)])
+            == colour_key(Fraction(25, 4)))
 
 
 def test_circumradius_isoceles():
     # centre (1, 3/4), squared radius 1 + 9/16
-    assert simplex_colour(circumradius_colouring, [(0, 0), (2, 0), (1, 2)]) == Fraction(25, 16)
+    assert (simplex_colour(circumradius_colouring, [(0, 0), (2, 0), (1, 2)])
+            == colour_key(Fraction(25, 16)))
 
 
 def test_circumradius_collinear_rejected():
@@ -132,7 +136,7 @@ def test_circumradius_equidistance_property():
         r2 = simplex_colour(circumradius_colouring, pts)
         # recover the centre independently from two perpendicular bisector rows
         centre = tuple(circumcentre(pts))
-        assert all(squared_distance(centre, as_point(p)) == r2 for p in pts)
+        assert all(colour_key(squared_distance(centre, as_point(p))) == r2 for p in pts)
 
 
 # small rational coordinates, so that dependent and cospherical sets are common
@@ -159,7 +163,7 @@ def test_circumradius_is_distance_to_solved_centre(points):
         with pytest.raises(ValidationError):
             simplex_colour(circumradius_colouring, points)
     else:
-        assert simplex_colour(circumradius_colouring, points) == expected
+        assert simplex_colour(circumradius_colouring, points) == colour_key(expected)
 
 
 @settings(max_examples=200, deadline=None)
@@ -216,8 +220,8 @@ def test_violations_match_determinant_oracle(points):
 
 
 def similarity_key(points) -> bytes:
-    """Key of the triangle's similarity class, read from the similarity colouring."""
-    return canonical_key(simplex_colour(similarity_colouring, points))
+    """Key of the triangle's similarity class: the similarity colouring's colour key."""
+    return simplex_colour(similarity_colouring, points)
 
 
 def test_similarity_permutation_invariance():
@@ -338,7 +342,8 @@ def test_validation_budget_counts_direction_hashes_not_subsets():
     # C(30, 4) = 27 405 subsets for the sphere check, but C(30, 3) = 4 060 hashes
     points = generate_general_position(30, 2, seed=0)
     colouring = circumradius_colouring(points, budget=math.comb(30, 3))
-    assert colouring.evaluator((0, 1, 2)) == simplex_squared_circumradius(points.points[:3])
+    assert (colouring.evaluator((0, 1, 2))
+            == colour_key(simplex_squared_circumradius(points.points[:3])))
 
 
 def test_validate_returns_the_instance_or_refuses():
@@ -509,13 +514,14 @@ def test_colourings_refuse_exactly_the_oracle_witnesses(points):
     if hyperplane is not None:
         return
     volume = volume_colouring(inst).evaluator
-    assert all(volume(e) == simplex_squared_volume(s) for e, s in simplices.items())
+    assert all(volume(e) == colour_key(simplex_squared_volume(s)) for e, s in simplices.items())
     similarity = similarity_colouring(inst).evaluator
     for (e1, s1), (e2, s2) in combinations(simplices.items(), 2):
         assert (similarity(e1) == similarity(e2)) == similar_simplices(s1, s2)
     if sphere is None:
         radius = circumradius_colouring(inst).evaluator
-        assert all(radius(e) == simplex_squared_circumradius(s) for e, s in simplices.items())
+        assert all(radius(e) == colour_key(simplex_squared_circumradius(s))
+                   for e, s in simplices.items())
 
 
 def test_plane_circumradius_and_similarity_need_no_determinant(monkeypatch):
@@ -530,7 +536,7 @@ def test_plane_circumradius_and_similarity_need_no_determinant(monkeypatch):
     triangles = [[SIXTHS[i] for i in e] for e in combinations(range(len(SIXTHS)), 3)]
     edges = list(combinations(range(len(SIXTHS)), 3))
     radii = list(map(circumradius_colouring(inst).evaluator, edges))
-    assert radii == [simplex_squared_circumradius(t) for t in triangles]
+    assert radii == [colour_key(simplex_squared_circumradius(t)) for t in triangles]
     shapes = list(map(similarity_colouring(inst).evaluator, edges))
     for (t1, c1), (t2, c2) in combinations(zip(triangles, shapes), 2):
         assert (c1 == c2) == similar_simplices(t1, t2)
@@ -538,6 +544,35 @@ def test_plane_circumradius_and_similarity_need_no_determinant(monkeypatch):
         volume_colouring(inst).evaluator((0, 1, 2))
     with pytest.raises(AssertionError, match="det_exact called"):
         simplex_colour(circumradius_colouring, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+
+plane_coordinates = st.integers(-30, 30) | st.builds(Fraction, st.integers(-30, 30),
+                                                     st.integers(1, 9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(points=st.lists(st.tuples(plane_coordinates, plane_coordinates), min_size=3,
+                       max_size=3, unique=True))
+@example(points=[(0, 0), (6, 0), (0, 8)])  # R^2 = 25, an int key
+@example(points=[(0, 0), (3, 0), (0, 4)])  # R^2 = 25/4
+@example(points=[(Fraction(-1, 3), 2), (0, 0), (Fraction(2, 3), Fraction(-5, 7))])
+def test_plane_kernel_keys_match_the_definitions(points):
+    # the plane kernels give their keys from integer ratios with no Fraction;
+    # each equals the key of the value the helpers derive from the
+    # definition, in value and type, as does the volume colouring's key
+    volume = simplex_squared_volume(points)
+    if volume == 0:
+        reject()
+    edge = (0, 1, 2)
+    radius = simplex_squared_circumradius(points)
+    for factory, value in ((circumradius_colouring, radius),
+                           (similarity_colouring, similarity_profile(points)),
+                           (volume_colouring, volume)):
+        key, want = factory(instance(points)).evaluator(edge), colour_key(value)
+        assert key == want
+        assert type(key) is type(want)
+    if radius.denominator == 1:
+        assert circumradius_colouring(instance(points)).evaluator(edge) == radius.numerator
 
 
 def test_colouring_specs():
@@ -572,7 +607,7 @@ def test_squared_radius_colours_like_radius():
     edges = list(combinations(range(6), 3))
     radii = {e: simplex_squared_circumradius([inst.points[i] for i in e]) for e in edges}
     for e in edges:
-        assert c.evaluator(e) == radii[e]
+        assert c.evaluator(e) == colour_key(radii[e])
     for e1, e2 in combinations(edges, 2):
         assert (c.evaluator(e1) == c.evaluator(e2)) == (radii[e1] == radii[e2])
 

@@ -22,7 +22,6 @@ from rainbowsets.algebra import IntegerInstance, sidon_colouring
 from rainbowsets.engine import verify_rainbow
 from rainbowsets.errors import BudgetError, ParameterError
 from rainbowsets.hypergraph import (
-    _CHUNK,
     _key,
     Colouring,
     ColouringSpec,
@@ -165,7 +164,8 @@ def test_number_subclasses_key_by_value(value, plain, key):
     assert value == plain
     assert canonical_key(value) == canonical_key(plain) == key
     colour = int(key) if type(plain) is int else key
-    c = Colouring(ColouringSpec(2, 1, 1), lambda e: value if e == (1, 3) else plain, "subclass")
+    c = Colouring.from_values(ColouringSpec(2, 1, 1), lambda e: value if e == (1, 3) else plain,
+                              "subclass")
     classes = colour_classes(c, GroundSet(4))
     assert classes == {colour: list(combinations(range(4), 2))}
     assert list(map(type, classes)) == [type(colour)]
@@ -193,8 +193,8 @@ INEXACT_VALUES = st.recursive(
 
 
 def drawn_colouring(values) -> Colouring:
-    """Colour each 1-edge (v,) by values[v]."""
-    return Colouring(ColouringSpec(1, 0, 1), lambda e: values[e[0]], "drawn")
+    """Colour each 1-edge (v,) by values[v], keyed where the colouring is built."""
+    return Colouring.from_values(ColouringSpec(1, 0, 1), lambda e: values[e[0]], "drawn")
 
 
 @settings(max_examples=200, deadline=None)
@@ -207,7 +207,7 @@ def test_colour_keys_agree_with_canonical_keys(values):
     # two colours have equal keys exactly when their canonical bytes agree:
     # an integer-valued number keys as the plain int, whose canonical bytes
     # are its decimal text, and any other colour as its canonical bytes.
-    # Colouring.colours gives the same keys, whatever path its chunk takes
+    # A colouring built from these values gives the same keys
     keys = list(map(_key, values))
     for value, key in zip(values, keys):
         assert type(key) in (int, bytes)
@@ -246,22 +246,25 @@ ODD_COLOURS = (COLOUR_VALUES | st.floats() | st.booleans()
 @example(seed=0, k=2, n=100, palette=4, odd=Fraction(3), at=4949)
 @example(seed=0, k=2, n=100, palette=4, odd=(3, (3.0,)), at=4949)
 def test_class_sizes_match_keyed_count(seed, k, n, palette, odd, at):
-    # colours are keyed a chunk at a time and counted by key; the odd value
+    # each value is keyed as it is coloured and counted by key; the odd value
     # at any edge, the first included and the last of C(100, 2) = 4950 (past
-    # the first chunk), must still be keyed (or refused) like every other
-    assert math.comb(100, 2) > _CHUNK
+    # edge 4096), must still be keyed (or refused) like every other
     edges = list(combinations(range(n), k))
     odd_edge = edges[at % len(edges)]
     base = random_colouring(seed, k, 0, palette)
-    c = Colouring(base.spec, lambda e: odd if e == odd_edge else base.evaluator(e), "odd")
+
+    def value(e):
+        return odd if e == odd_edge else base.evaluator(e)
+
+    c = Colouring.from_values(base.spec, value, "odd")
     try:
-        expected = keyed_class_sizes(c, n)
+        expected = keyed_class_sizes(value, k, n)
     except TypeError:
         with pytest.raises(TypeError):
             colour_class_sizes(c, GroundSet(n))
     else:
         sizes = colour_class_sizes(c, GroundSet(n))
-        assert sizes == Counter(colour_key(c.evaluator(e)) for e in edges)
+        assert sizes == Counter(colour_key(value(e)) for e in edges)
         keyed = {b"%d" % key if type(key) is int else key: size for key, size in sizes.items()}
         assert len(keyed) == len(sizes)  # no two counted keys share canonical bytes
         assert keyed == expected
@@ -270,7 +273,8 @@ def test_class_sizes_match_keyed_count(seed, k, n, palette, odd, at):
 @pytest.mark.parametrize("odd_edge", [(0, 1), (2, 4), (3, 4)])
 def test_class_sizes_merge_equal_numbers_only(odd_edge):
     def colouring(odd):
-        return Colouring(ColouringSpec(2, 1, 1), lambda e: odd if e == odd_edge else 3, "threes")
+        return Colouring.from_values(ColouringSpec(2, 1, 1), lambda e: odd if e == odd_edge else 3,
+                                     "threes")
 
     edges = list(combinations(range(5), 2))
     others = [e for e in edges if e != odd_edge]
