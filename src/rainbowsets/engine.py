@@ -22,6 +22,7 @@ from statistics import fmean
 from .errors import BudgetError, ParameterError, require_budget
 from .hypergraph import (DEFAULT_BUDGET, Colouring, GroundSet, build_conflict_hypergraph,
                          colour_class_sizes)
+from .keys import require_keys
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -111,10 +112,7 @@ def verify_rainbow(colouring: Colouring, subset, budget: int = DEFAULT_BUDGET) -
         return True
     edges = math.comb(len(s), k)
     require_budget(edges, budget, "verify", "verify_rainbow", "colour evaluations")
-    keys = list(colouring.colours(s))
-    if not {int, bytes}.issuperset(map(type, keys)):
-        raise TypeError("colour keys must be plain ints or bytes; see Colouring.from_values")
-    return len(set(keys)) == edges
+    return len(require_keys(set(colouring.colours(s)))) == edges
 
 
 def _shuffled(n: int, seed: int) -> list[int]:

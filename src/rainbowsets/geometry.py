@@ -101,16 +101,14 @@ def _plane_similarity(dist, idxs) -> bytes:
     """The key of the triangle's squared sides in ascending order, each over twice their sum.
 
     Every order of the sides is some ordering of the vertices, so this is
-    ``_similarity_profile``'s least tuple; the scale L cancels.  Each ratio
-    lies in (0, 1/2), so it keys as ``n/d`` in lowest terms.
+    ``_similarity_profile``'s least tuple; the scale L cancels.  Each ratio lies
+    in (0, 1/2), so ``ratio_key`` gives bytes, joined as ``canonical_key`` joins a tuple's.
     """
     a, b, c = idxs
     row = dist[a]
     s1, s2, s3 = sorted((row[b], row[c], dist[b][c]))
     total = 2 * (s1 + s2 + s3)
-    g1, g2, g3 = math.gcd(s1, total), math.gcd(s2, total), math.gcd(s3, total)
-    return b"(%d/%d,%d/%d,%d/%d)" % (s1 // g1, total // g1, s2 // g2, total // g2,
-                                     s3 // g3, total // g3)
+    return b"(%s,%s,%s)" % (ratio_key(s1, total), ratio_key(s2, total), ratio_key(s3, total))
 
 
 def _similarity_profile(dist, idxs) -> tuple[Fraction, ...]:

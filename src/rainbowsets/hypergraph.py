@@ -16,7 +16,7 @@ from itertools import chain, combinations, repeat
 from typing import Callable, Iterable, Sequence
 
 from .errors import ParameterError, require_budget
-from .keys import canonical_key
+from .keys import canonical_key, require_keys
 
 # Exhaustive operations refuse to touch more k-subsets than this unless the
 # caller raises the budget explicitly; they fail loudly rather than sample.
@@ -30,14 +30,9 @@ def _key(colour):
     ``canonical_key``, whose bytes cache their hash; so two colours are equal
     exactly when their keys are, and a float or a bool raises TypeError.
     """
-    if type(colour) is int:
-        return colour
-    if isinstance(colour, Fraction):
-        numerator, denominator = colour.as_integer_ratio()
-        if denominator == 1:
-            return numerator
-    elif isinstance(colour, int) and not isinstance(colour, bool):
-        return int(colour)
+    if isinstance(colour, (int, Fraction)) and not isinstance(colour, bool):
+        if colour.denominator == 1:
+            return int(colour)
     return canonical_key(colour)
 
 
@@ -86,7 +81,8 @@ class Colouring:
     else the colour's ``keys.canonical_key`` bytes, so two colours are equal
     exactly when their keys are and no pass hashes a Fraction.  A colouring
     given by exact values (int, Fraction, tuple, ...) is built with
-    ``from_values``, which keys each one.  ``rows``, if given, gives the keys
+    ``from_values``, which keys each one; every pass refuses a key that is
+    neither a plain int nor bytes.  ``rows``, if given, gives the keys
     of a whole ascending vertex list at once.  ``scan``, if given, stands in
     for the default ``greedy_scan`` and must take the same vertices in the
     same order.
@@ -211,15 +207,15 @@ def colour_classes(
     classes: dict[int | bytes, list[tuple[int, ...]]] = defaultdict(list)
     for key, e in zip(colours, combinations(vertices, colouring.spec.k)):
         classes[key].append(e)
-    return dict(classes)
+    return require_keys(dict(classes))
 
 
 def colour_class_sizes(
     colouring: Colouring, ground: GroundSet, budget: int = DEFAULT_BUDGET
 ) -> Counter:
     """Size of every colour class of the ground set, by colour key; no edge is stored."""
-    return Counter(_colours_within_budget(colouring, ground, ground.vertices, budget,
-                                          "colour_class_sizes"))
+    return require_keys(Counter(_colours_within_budget(colouring, ground, ground.vertices, budget,
+                                                       "colour_class_sizes")))
 
 
 def max_monochromatic_sunflower(

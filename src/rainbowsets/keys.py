@@ -6,7 +6,8 @@ the plain int, any other as its ``canonical_key`` bytes, which hash once and
 cache it.  ``canonical_key`` serializes exact values (int, Fraction, str,
 bytes, or tuples of these) so that two are equal exactly when their keys
 are, and refuses a float or a bool; ``ratio_key`` keys a ratio of integers
-with no Fraction built.  The sunflower audit scans its classes in the order
+with no Fraction built, and ``require_keys`` refuses any colour key that is
+not a plain int or bytes.  The sunflower audit scans its classes in the order
 of these bytes, reading an int key n as ``b"%d" % n``, and names the worst
 one's colour by them.  Numbers are keyed by value, so an ``int`` or
 ``Fraction`` subclass shares the key of the equal plain number.
@@ -47,3 +48,10 @@ def ratio_key(numerator: int, denominator: int) -> int | bytes:
     if g == denominator:
         return numerator // g
     return b"%d/%d" % (numerator // g, denominator // g)
+
+
+def require_keys(keys):
+    """``keys``, once each is a colour key: a plain int or bytes, else TypeError."""
+    if not {int, bytes}.issuperset(map(type, keys)):
+        raise TypeError("colour keys must be plain ints or bytes; see Colouring.from_values")
+    return keys

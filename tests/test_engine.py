@@ -48,6 +48,7 @@ from rainbowsets.hypergraph import (
     ColouringSpec,
     GroundSet,
     build_conflict_hypergraph,
+    colour_class_sizes,
     colour_classes,
     validate_lambda,
 )
@@ -360,20 +361,26 @@ def test_every_colour_value_is_keyed(odd):
         greedy_rainbow(tenths, GroundSet(10))
 
 
-def test_verification_refuses_colours_that_are_not_keys():
-    # a colouring built directly returns keys; verification checks that each
-    # colour it compares is a plain int or bytes, so raw float colours, which
-    # would certify {1, 2, 3} of 1..10 although 2 - 1 == 3 - 2, raise, and
-    # so do raw Fractions and bools
+def test_every_pass_refuses_colours_that_are_not_keys():
+    # a colouring built directly returns keys; every pass checks that each
+    # distinct colour it groups or compares is a plain int or bytes, so raw
+    # float colours, which would certify {1, 2, 3} of 1..10 although
+    # 2 - 1 == 3 - 2, and which the audit would name by their truncation,
+    # raise, and so do raw Fractions and bools
     spec = ColouringSpec(2, 1, 2)
     raw = [Colouring(spec, lambda e: 0.1 * (e[1] + 1) - 0.1 * (e[0] + 1), "tenths"),
            Colouring(spec, lambda e: Fraction(e[1] - e[0], 3), "thirds"),
            Colouring(spec, lambda e: e[0] == 0, "bools")]
+    g = GroundSet(10)
+    passes = [lambda c: verify_rainbow(c, (0, 1, 2)), lambda c: greedy_rainbow(c, g),
+              lambda c: colour_classes(c, g), lambda c: colour_class_sizes(c, g),
+              lambda c: validate_lambda(c, g), lambda c: build_conflict_hypergraph(c, g),
+              lambda c: sample_and_delete(c, g, SamplePlan(p=1.0, seed=0)),
+              lambda c: exact_max_rainbow(c, g)]
     for c in raw:
-        with pytest.raises(TypeError, match="colour keys must be plain ints or bytes"):
-            verify_rainbow(c, (0, 1, 2))
-        with pytest.raises(TypeError, match="colour keys must be plain ints or bytes"):
-            greedy_rainbow(c, GroundSet(10))
+        for run in passes:
+            with pytest.raises(TypeError, match="colour keys must be plain ints or bytes"):
+                run(c)
     assert verify_rainbow(Colouring(spec, lambda e: b"%d" % (e[1] - e[0]), "bytes"), (0, 1, 3))
 
 
@@ -399,34 +406,26 @@ def rational_answers(cases):
 
 def test_no_pass_hashes_a_fraction(monkeypatch):
     # the colours of these colourings are rationals, and every pass groups
-    # and compares their keys: with Fraction.__hash__ refused, greedy's
-    # default scan, sample-delete, the oracle and the audit give what they
-    # gave before
+    # and compares their keys, which the plane circumradius, plane
+    # similarity and polynomial-over-Q kernels give from integers: once the
+    # colourings are built, with Fraction.__hash__ and Fraction.__new__
+    # refused, greedy's default scan, sample-delete, the oracle and the
+    # audit give what they gave before
     cases = rational_cases()
     before = rational_answers(cases)
     assert all(runs[-1][2]["conflict_pairs"] > 0 for runs, _ in before)
+    half = Fraction(1, 2)
 
-    def refuse(self):
+    def refuse_hash(self):
         raise AssertionError("Fraction hashed")
 
-    monkeypatch.setattr(Fraction, "__hash__", refuse)
-    with pytest.raises(AssertionError, match="Fraction hashed"):
-        hash(Fraction(1, 3))
-    assert rational_answers(cases) == before
-
-
-def test_plane_and_poly_kernels_build_no_fraction(monkeypatch):
-    # the plane circumradius, plane similarity and polynomial-over-Q kernels
-    # give their keys from integers: once the colourings are built, with
-    # Fraction.__new__ refused, every algorithm and the audit give what they
-    # gave before
-    cases = rational_cases()
-    before = rational_answers(cases)
-
-    def refuse(cls, *args, **kwargs):
+    def refuse_new(cls, *args, **kwargs):
         raise AssertionError("Fraction built")
 
-    monkeypatch.setattr(Fraction, "__new__", refuse)
+    monkeypatch.setattr(Fraction, "__hash__", refuse_hash)
+    monkeypatch.setattr(Fraction, "__new__", refuse_new)
+    with pytest.raises(AssertionError, match="Fraction hashed"):
+        hash(half)
     with pytest.raises(AssertionError, match="Fraction built"):
         Fraction(1, 3)
     assert rational_answers(cases) == before
