@@ -224,10 +224,11 @@ def max_monochromatic_sunflower(
     """Find the (core, colour) pair collecting the most same-coloured k-edges.
 
     The h-element subsets of each colour class's k-edges are counted, h
-    being the spec's core size; the report is the most frequent (core,
-    colour) pair, with the class's edges through that core, in class order,
-    as witnesses.  For h = 0 the core is empty and the petal count is the
-    size of the largest colour class.
+    being the spec's core size, with a ``Counter``; for h = 1 it counts the
+    edges' vertices, each standing for its 1-core.  The report is the most
+    frequent (core, colour) pair, with the class's edges through that core,
+    in class order, as witnesses.  For h = 0 the core is empty and the petal
+    count is the size of the largest colour class.
     Deterministic: colour classes are scanned in the order of their
     canonical keys, which the report names (an int key n is ``b"%d" % n``),
     and a class replaces the incumbent only with strictly more petals, at its
@@ -242,10 +243,13 @@ def max_monochromatic_sunflower(
                              for key, edges in classes.items()):
         if best is not None and len(edges) <= best.petals:
             continue
-        cores = Counter(chain.from_iterable(map(combinations, edges, repeat(h))))
+        # a 1-core is counted as its vertex; ints order like their 1-tuples
+        cores = Counter(chain.from_iterable(edges if h == 1
+                                            else map(combinations, edges, repeat(h))))
         petals = max(cores.values())
         if best is None or petals > best.petals:
             core = min(c for c, count in cores.items() if count == petals)
+            core = (core,) if h == 1 else core
             witnesses = tuple(e for e in edges if core in combinations(e, h))
             best = SunflowerReport(core=core, colour=key, petals=petals, witness_edges=witnesses)
     assert best is not None

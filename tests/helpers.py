@@ -57,20 +57,17 @@ def brute_force_max_petals(colouring: Colouring, n: int, h: int) -> int:
     return best
 
 
-def brute_force_sunflower(colouring: Colouring, n: int, h: int) -> tuple:
-    """Independent worst-sunflower report (core, colour key, petals, witnesses) for int colours.
+def brute_force_sunflower(value, n: int, k: int, h: int) -> tuple:
+    """Independent worst-sunflower report (core, colour key, petals, witnesses).
 
-    Each int colour is keyed as its decimal text.  Every (key, core) pair is
-    scanned in sorted order, its bucket gathered from the edges in
-    combinations order, and the first bucket strictly fuller than the best so
-    far is kept.
+    ``value`` maps each k-edge of range(n) to its exact colour value, and
+    each colour is named by the ``canonical_key`` of that value.  Every
+    (key, core) pair is scanned in sorted order, its bucket gathered from the
+    edges in combinations order, and the first bucket strictly fuller than
+    the best so far is kept.
     """
-    edges = list(combinations(range(n), colouring.spec.k))
-    key_of = {}
-    for e in edges:
-        value = colouring.evaluator(e)
-        assert type(value) is int
-        key_of[e] = str(value).encode("ascii")
+    edges = list(combinations(range(n), k))
+    key_of = {e: canonical_key(value(e)) for e in edges}
     best = None
     for key in sorted(set(key_of.values())):
         for core in combinations(range(n), h):

@@ -350,7 +350,46 @@ def test_sunflower_matches_brute_force(k, h, n):
         c = random_colouring(seed, k=k, h=h, palette=3)
         report = max_monochromatic_sunflower(c, GroundSet(n))
         assert ((report.core, report.colour, report.petals, report.witness_edges)
-                == brute_force_sunflower(c, n, h))
+                == brute_force_sunflower(c.evaluator, n, k, h))
+
+
+# exact values with ties: 3 and Fraction(6, 2) are one colour; "3" and (3,) are not
+SUNFLOWER_PALETTE = (3, Fraction(6, 2), -1, Fraction(1, 3), Fraction(-5, 2), "3", "a", (3,),
+                     (1, Fraction(1, 2)))
+
+
+@st.composite
+def sunflower_cases(draw):
+    """(k, h, n, a value per k-edge of range(n)) drawn from the palette, n <= 8."""
+    k, h = draw(st.sampled_from([(2, 0), (2, 1), (3, 1), (3, 2)]))
+    n = draw(st.integers(k, 8))
+    edges = list(combinations(range(n), k))
+    values = draw(st.lists(st.sampled_from(SUNFLOWER_PALETTE), min_size=len(edges),
+                           max_size=len(edges)))
+    return k, h, n, dict(zip(edges, values))
+
+
+# injective: every class is one edge, so the least key's edge wins with one petal
+INJECTIVE_CASE = (3, 1, 5, {e: (i, (i,), Fraction(i, 7), str(i))[i % 4]
+                            for i, e in enumerate(combinations(range(5), 3))})
+# classes 3 and "a" both reach two petals, at cores (0,) and (3,); class (3,)'s
+# two edges are disjoint, so all four of its vertices tie at one petal
+TIED_CASE = (2, 1, 4, {(0, 1): 3, (0, 2): Fraction(6, 2), (0, 3): (3,), (1, 2): (3,),
+                       (1, 3): "a", (2, 3): "a"})
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sunflower_cases())
+@example(case=INJECTIVE_CASE)
+@example(case=TIED_CASE)
+# constant, with h = 2: every 2-core ties at three petals
+@example(case=(3, 2, 5, dict.fromkeys(combinations(range(5), 3), Fraction(1, 3))))
+def test_sunflower_report_matches_brute_force_for_any_colour_value(case):
+    k, h, n, values = case
+    c = Colouring.from_values(ColouringSpec(k, h, 1), values.__getitem__, "drawn")
+    report = max_monochromatic_sunflower(c, GroundSet(n))
+    assert ((report.core, report.colour, report.petals, report.witness_edges)
+            == brute_force_sunflower(values.__getitem__, n, k, h))
 
 
 def test_sunflower_parameter_errors():
