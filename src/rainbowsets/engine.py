@@ -229,8 +229,8 @@ def exact_max_rainbow(colouring: Colouring, ground: GroundSet,
     position i (the one earlier position for k = 2, a sorted tuple
     otherwise) to the bit of the edge's colour class, or to 0 when the class
     has one edge and so never clashes; the search colours nothing and holds
-    the classes in use as an int mask.  The natural-order greedy result
-    seeds the bound; it runs on each edge's class index, which equal colours
+    the classes in use as an int mask.  The natural-order greedy scan seeds
+    the bound; it compares each edge's class index, which equal colours
     share, so it colours nothing either.  Branches that cannot strictly beat
     the incumbent are pruned.  Deterministic.  Each search node counts
     against ``budget``: the oracle raises ``BudgetError`` once it has searched
@@ -254,8 +254,8 @@ def exact_max_rainbow(colouring: Colouring, ground: GroundSet,
             closing[last][rest[0] if k == 2 else tuple(rest)] = bit if len(edges) > 1 else 0
         bit <<= len(edges) > 1
 
-    by_class = Colouring(colouring.spec, class_of.__getitem__, colouring.label)
-    best, nodes = list(greedy_rainbow(by_class, ground, budget=budget).subset), 0
+    best = Colouring(colouring.spec, class_of.__getitem__, colouring.label).greedy_scan(range(n))
+    nodes = 0
 
     def extend(i: int, chosen: list[int], used: int) -> None:
         nonlocal best, nodes

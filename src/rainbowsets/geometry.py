@@ -195,24 +195,6 @@ def _dependent(vectors, r: int) -> bool:
     return False
 
 
-def _cospherical(ws, d: int) -> bool:
-    """True iff the origin and some d+1 of the nonzero integer vectors ws are cospherical.
-
-    A hyperplane counts as a sphere here.  Inversion about the origin,
-    w -> w / |w|^2, maps every sphere or hyperplane through it to a
-    hyperplane, so this holds iff d+1 images are affinely dependent: iff, for
-    the first of them w_j, the differences of the others from it are
-    linearly dependent.  The difference w_i/n_i - w_j/n_j, with n = |w|^2, is
-    n_j w_i - n_i w_j over the positive n_i n_j.
-    """
-    norms = [sum(x * x for x in w) for w in ws]
-    return any(
-        _dependent([[nj * a - ni * b for a, b in zip(wi, wj)]
-                    for wi, ni in zip(ws[j + 1:], norms[j + 1:])], d)
-        for j, (wj, nj) in enumerate(zip(ws, norms))
-    )
-
-
 def _integer_points(inst: PointInstance) -> tuple[int, list[tuple[int, ...]]]:
     """The common denominator L of the coordinates, and the points scaled by it.
 
@@ -222,27 +204,37 @@ def _integer_points(inst: PointInstance) -> tuple[int, list[tuple[int, ...]]]:
     return scale, [tuple(c.numerator * (scale // c.denominator) for c in p) for p in inst.points]
 
 
-def _first_violation(inst: PointInstance, size: int, what: str, exists, budget: int):
-    """First size-subset, in lexicographic order, on which ``exists`` finds a violation.
+def _lift(p: tuple[int, ...]) -> tuple[int, ...]:
+    """The point (p, |p|^2) over p on the paraboloid one dimension up."""
+    return (*p, sum(x * x for x in p))
 
-    ``exists(ws, d)`` holds iff an anchor point and some size-1 of the points
-    given as differences ws from it violate general position.  The first
-    anchor for which it holds over the later points heads the first witness,
-    so only the subsets it heads are tested one by one; a valid instance
-    tests none.
+
+def _first_violation(inst: PointInstance, sphere: bool, budget: int):
+    """First (r+1)-subset, in lexicographic order, whose points lie on a hyperplane of R^r.
+
+    r is d, or d+1 for the points lifted by ``_lift`` when ``sphere``: d+2
+    points lie on a common sphere or hyperplane iff their lifts lie on a
+    hyperplane (Brown 1979).  r+1 integer points lie on a hyperplane iff
+    their differences from the first are linearly dependent (``_dependent``).
+    The first anchor whose later points hold such a subset heads the first
+    witness, so only the subsets it heads are tested one by one; a valid
+    instance tests none.
     """
-    n = len(inst)
-    if n < size:
+    n, r = len(inst), inst.dim + 1 if sphere else inst.dim
+    if n <= r:
         return None
-    # a valid instance hashes at most one direction per (size-1)-subset
-    require_budget(math.comb(n, size - 1), budget, "verify", what, "direction hashes")
+    # a valid instance hashes at most one direction per r-subset
+    what = "sphere check" if sphere else "hyperplane check"
+    require_budget(math.comb(n, r), budget, "verify", what, "direction hashes")
     _, pts = _integer_points(inst)
+    if sphere:
+        pts = list(map(_lift, pts))
     anchor = next((j for j, c in enumerate(pts)
-                   if exists(_differences(pts[j + 1:], c), inst.dim)), None)
+                   if _dependent(_differences(pts[j + 1:], c), r)), None)
     if anchor is None:
         return None
-    return next(((anchor,) + rest for rest in combinations(range(anchor + 1, n), size - 1)
-                 if exists(_differences([pts[i] for i in rest], pts[anchor]), inst.dim)), None)
+    return next(((anchor,) + rest for rest in combinations(range(anchor + 1, n), r)
+                 if _dependent(_differences([pts[i] for i in rest], pts[anchor]), r)), None)
 
 
 def find_hyperplane_violation(inst: PointInstance, budget: int = DEFAULT_BUDGET):
@@ -251,17 +243,18 @@ def find_hyperplane_violation(inst: PointInstance, budget: int = DEFAULT_BUDGET)
     Decided in integers by hashing directions (``_dependent``): d+1 points lie
     on a hyperplane iff their differences from the first are linearly dependent.
     """
-    return _first_violation(inst, inst.dim + 1, "hyperplane check", _dependent, budget)
+    return _first_violation(inst, False, budget)
 
 
 def find_sphere_violation(inst: PointInstance, budget: int = DEFAULT_BUDGET):
     """First (d+2)-subset on a common (d-1)-sphere or hyperplane, as index tuple.
 
     None if there is none; a witness may be cospherical or cohyperplanar.
-    Decided in integers by inversion about the first point and hashing
-    directions (``_cospherical``).
+    Decided in integers as the hyperplane check one dimension up: the points
+    are lifted to (p, |p|^2), where a sphere |p|^2 + a.p + b = 0 and a
+    hyperplane a.p + b = 0 both become hyperplanes of R^(d+1).
     """
-    return _first_violation(inst, inst.dim + 2, "sphere check", _cospherical, budget)
+    return _first_violation(inst, True, budget)
 
 
 def _require_general_position(inst: PointInstance, sphere: bool, budget: int) -> None:
@@ -282,8 +275,9 @@ def generate_general_position(n: int, dim: int, seed: int,
     """Random integer points with no d+1 on a hyperplane and no d+2 on a sphere.
 
     Draws uniformly from [0, coord_bound]^dim, rejecting any candidate that
-    breaks either condition against the accepted prefix.  coord_bound
-    defaults to 4n^2 for collision head-room.  At most
+    breaks either condition against the accepted prefix, as the checks
+    decide them: by ``_dependent``, on the points and on their lifts.
+    coord_bound defaults to 4n^2 for collision head-room.  At most
     DEFAULT_REJECTION_FACTOR * n draws are made before ``BudgetError``.
     Deterministic for a given seed.
     """
@@ -297,7 +291,7 @@ def generate_general_position(n: int, dim: int, seed: int,
         raise ParameterError("coordinate bound must be at least 1")
     max_attempts = DEFAULT_REJECTION_FACTOR * n
     rng = random.Random(seed)
-    accepted: list[tuple[int, ...]] = []
+    accepted: list[tuple[int, ...]] = []  # lifted by _lift
     attempts = 0
     while len(accepted) < n:
         if attempts >= max_attempts:
@@ -307,14 +301,14 @@ def generate_general_position(n: int, dim: int, seed: int,
                 f"try a larger coord_bound (currently {coord_bound})"
             )
         attempts += 1
-        candidate = tuple(rng.randint(0, coord_bound) for _ in range(dim))
+        candidate = _lift(tuple(rng.randint(0, coord_bound) for _ in range(dim)))
         if candidate in accepted:
             continue
         ws = _differences(accepted, candidate)
-        if _dependent(ws, dim) or _cospherical(ws, dim):
+        if _dependent([w[:dim] for w in ws], dim) or _dependent(ws, dim + 1):
             continue
         accepted.append(candidate)
-    return PointInstance(dim=dim, points=tuple(as_point(p) for p in accepted))
+    return PointInstance(dim=dim, points=tuple(as_point(p[:dim]) for p in accepted))
 
 
 def circumradius_colouring(inst: PointInstance, budget: int = DEFAULT_BUDGET) -> Colouring:

@@ -17,6 +17,7 @@ from helpers import (
     reference_sample_and_delete,
     spiral_coords,
 )
+from rainbowsets import engine
 from rainbowsets.algebra import (
     _MAP_SPAN,
     IntegerInstance,
@@ -552,6 +553,21 @@ def test_exact_colours_each_edge_once():
     assert calls[:math.comb(9, 3)] == list(combinations(range(9), 3))
     expected = math.comb(9, 3) + math.comb(result.size, 3)
     assert len(calls) == expected == 88
+
+
+def test_exact_verifies_only_its_answer(monkeypatch):
+    # the greedy seed is a bare scan of class indices, so the one check is the closing one
+    checked = []
+
+    def counting_verify(colouring, subset, *args, **kwargs):
+        checked.append(tuple(subset))
+        return verify_rainbow(colouring, subset, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "verify_rainbow", counting_verify)
+    c, g = sidon_instance(20)
+    result = exact_max_rainbow(c, g)
+    assert checked == [result.subset]
+    assert result.verified
 
 
 @pytest.mark.parametrize("n,optimum", [(25, 6), (26, 7), (34, 7), (35, 8)])

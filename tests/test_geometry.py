@@ -171,6 +171,9 @@ def test_circumradius_is_distance_to_solved_centre(points):
 @example(points=[(0, 0), (1, 0), (1, 1), (0, 1)])
 @example(points=[(3, 4), (5, 0), (-4, 3), (0, -5)])
 @example(points=[(1, 2, 2), (2, 1, -2), (-2, 2, 1), (2, -2, 1), (0, 0, 3)])
+# the same five points over 3, on the unit sphere: the lift squares thirds (L = 3)
+@example(points=[tuple(Fraction(c, 3) for c in p)
+                 for p in [(1, 2, 2), (2, 1, -2), (-2, 2, 1), (2, -2, 1), (0, 0, 3)]])
 def test_sphere_check_matches_lifted_determinant(points):
     d = len(points[0])
     inst = PointInstance(dim=d, points=tuple(as_point(p) for p in points))
@@ -384,6 +387,16 @@ def test_generate_revalidates():
     assert len(inst) == 4
     assert find_hyperplane_violation(inst) is None
     assert find_sphere_violation(inst) is None
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_generated_points_pass_the_determinant_oracle(dim):
+    # the tight bound 5 makes the generator reject many candidates
+    for bound, sizes in ((None, range(dim + 2, dim + 7)), (5, range(dim + 2, dim + 6))):
+        for n in sizes:
+            for seed in range(4):
+                points = generate_general_position(n, dim, seed, coord_bound=bound).points
+                assert general_position_witnesses(points) == (None, None)
 
 
 def test_generate_deterministic():
