@@ -232,9 +232,10 @@ def exact_max_rainbow(colouring: Colouring, ground: GroundSet,
     the classes in use as an int mask.  The natural-order greedy scan seeds
     the bound; it compares each edge's class index, which equal colours
     share, so it colours nothing either.  Branches that cannot strictly beat
-    the incumbent are pruned.  Deterministic.  Each search node counts
-    against ``budget``: the oracle raises ``BudgetError`` once it has searched
-    ``budget`` nodes without finishing, not before any work.
+    the incumbent are pruned.  Deterministic.  The search is one loop, so no
+    depth is refused.  It counts nodes against ``budget`` once per run of
+    positions sharing the chosen set, so ``BudgetError`` comes at most n
+    positions after the ``budget``-th node, and never before any work.
     """
     n, k = ground.n, colouring.spec.k
     t0 = time.perf_counter()
@@ -255,36 +256,38 @@ def exact_max_rainbow(colouring: Colouring, ground: GroundSet,
         bit <<= len(edges) > 1
 
     best = Colouring(colouring.spec, class_of.__getitem__, colouring.label).greedy_scan(range(n))
-    nodes = 0
-
-    def extend(i: int, chosen: list[int], used: int) -> None:
-        nonlocal best, nodes
-        nodes += 1
+    nodes = i = start = used = 0
+    chosen: list[int] = []
+    stack: list[int] = []  # the used mask before each position in chosen was taken
+    lead = stop = n - len(best)  # lead = n + |chosen| - |best|, stop = min(n, lead)
+    while True:
+        while i < stop:  # a run: chosen stays fixed, and no node before stop is pruned
+            row, mask = closing[i], used
+            for rest in chosen if k == 2 else combinations(chosen, k - 1):
+                bit = row[rest]
+                if mask & bit:
+                    break
+                mask |= bit
+            else:
+                break  # position i joins chosen
+            i += 1
+        nodes += i - start + 1  # the run's nodes start..i
         if nodes > budget:
             raise BudgetError(f"search layer: the exact oracle for k={k} needs more than "
                               f"{budget} nodes; budget is {budget}")
-        if len(chosen) + (n - i) <= len(best):
-            return
-        if i == n:
-            best = [order[j] for j in chosen]
-            return
-        row = closing[i]
-        mask = used
-        for rest in chosen if k == 2 else combinations(chosen, k - 1):
-            bit = row[rest]
-            if mask & bit:
-                break
-            mask |= bit
-        else:
+        if i < stop:
+            stack.append(used)
             chosen.append(i)
-            extend(i + 1, chosen, mask)
-            chosen.pop()
-        extend(i + 1, chosen, used)
-
-    try:
-        extend(0, [], 0)
-    except RecursionError:  # the search nests one Python call per position
-        raise BudgetError(f"search layer: the exact oracle needs {n + 1} nested calls") from None
+            i, used, lead = i + 1, mask, lead + 1
+        else:  # i is a pruning node, or the leaf i = n when lead > n
+            if lead > n:
+                best, lead = [order[j] for j in chosen], n
+            if not stack:
+                break
+            used = stack.pop()
+            i, lead = chosen.pop() + 1, lead - 1
+        start = i
+        stop = lead if lead < n else n
     subset = tuple(sorted(best))
     verified = verify_rainbow(colouring, subset, budget=budget)
     runtime_ms = (time.perf_counter() - t0) * 1000.0

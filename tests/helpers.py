@@ -176,6 +176,52 @@ def reference_greedy(values, order, colour) -> tuple:
     return tuple(sorted(chosen))
 
 
+def reference_exact_search(colouring: Colouring, n: int) -> tuple[tuple, int]:
+    """Independent branch and bound for the largest rainbow subset of range(n).
+
+    Vertices are visited by descending conflict-pair degree, ids breaking
+    ties.  A vertex can join the chosen set iff its k-edges with the chosen
+    vertices have colours that are unused and pairwise distinct.  The bound
+    starts at the greedy scan of the ids in natural order.  Each call is one
+    node: it is pruned unless its chosen set plus every vertex left could
+    strictly beat the best so far, and otherwise tries taking its vertex
+    before leaving it out.  Returns the best subset, sorted, and the number
+    of nodes.
+    """
+    k, colour = colouring.spec.k, colouring.evaluator
+    degrees, _ = brute_force_pair_degrees(colouring, n)
+    order = sorted(range(n), key=lambda v: (-degrees[v], v))
+
+    def new_colours(chosen, used, v):
+        colours = [colour(tuple(sorted(rest + (v,)))) for rest in combinations(chosen, k - 1)]
+        distinct = set(colours)
+        return distinct if len(distinct) == len(colours) and not distinct & used else None
+
+    best, used = [], set()
+    for v in range(n):
+        colours = new_colours(best, used, v)
+        if colours is not None:
+            best.append(v)
+            used |= colours
+    nodes = 0
+
+    def search(i, chosen, used):
+        nonlocal best, nodes
+        nodes += 1
+        if len(chosen) + n - i <= len(best):
+            return
+        if i == n:
+            best = list(chosen)
+            return
+        colours = new_colours(chosen, used, order[i])
+        if colours is not None:
+            search(i + 1, chosen + [order[i]], used | colours)
+        search(i + 1, chosen, used)
+
+    search(0, [], set())
+    return tuple(sorted(best)), nodes
+
+
 def direct_poly_value(coeffs, x, y, modulus=None):
     """p(x, y) for the coefficient map (i, j) -> c, summed one term at a time.
 

@@ -320,21 +320,26 @@ def test_oracle_manifest_records_no_seed_or_p(tmp_path):
 
 def test_oracle_refuses_by_nodes_not_vertices(tmp_path, capsys):
     # no vertex cap: 26 and 30 values answer within the default budget of
-    # nodes, and a --limit they meet leaves the result file byte-identical
-    for n, ruler, budget in ((26, ["1", "4", "5", "13", "19", "24", "26"], "10000"),
-                             (30, ["1", "3", "14", "15", "20", "23", "30"], "100000")):
+    # nodes, a --limit they meet leaves the result file byte-identical, and
+    # so does a budget of exactly the nodes searched, while one less refuses
+    for n, ruler, nodes in ((26, ["1", "4", "5", "13", "19", "24", "26"], 73682),
+                            (30, ["1", "3", "14", "15", "20", "23", "30"], 248807)):
         inst = tmp_path / f"ints{n}.json"
         run("generate", "integers-range", "--n", str(n), "--out", str(inst))
         oracle = ["oracle", "--instance", str(inst), "--colouring", "sidon"]
         out, limited = tmp_path / f"r{n}.json", tmp_path / f"limited{n}.json"
         assert run(*oracle, "--out", str(out)) == 0
         assert json.loads(out.read_text())["subset"] == ruler
+        assert json.loads(out.read_text())["stats"]["nodes_explored"] == nodes
         assert run(*oracle, "--limit", str(n), "--out", str(limited)) == 0
         assert limited.read_bytes() == out.read_bytes()
+        assert run(*oracle, "--budget", str(nodes), "--out", str(limited)) == 0
+        assert limited.read_bytes() == out.read_bytes()
         capsys.readouterr()
-        assert run(*oracle, "--budget", budget) == 3
-        err = capsys.readouterr().err
-        assert "search layer" in err and "nodes" in err
+        assert run(*oracle, "--budget", str(nodes - 1)) == 3
+        assert capsys.readouterr().err == ("resource limit: search layer: the exact oracle for "
+                                           f"k=2 needs more than {nodes - 1} nodes; budget is "
+                                           f"{nodes - 1}\n")
         assert run(*oracle, "--limit", str(n - 1)) == 3
         assert capsys.readouterr().err == ("resource limit: search layer: the exact oracle for "
                                            f"k=2 needs {n} vertices; budget is {n - 1}\n")

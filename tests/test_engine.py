@@ -2,6 +2,7 @@ import inspect
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,9 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    brute_force_pair_degrees,
     constant_colouring,
     injective_colouring,
     random_colouring,
+    reference_exact_search,
     reference_greedy,
     reference_sample_and_delete,
     spiral_coords,
@@ -485,21 +488,44 @@ def test_exact_budgets_its_mask_table():
     assert exact_max_rainbow(c, GroundSet(10), budget=484).verified
 
 
-def test_exact_refuses_a_search_deeper_than_the_interpreter_allows():
+def test_exact_answers_a_search_deeper_than_the_interpreter_allows():
     # greedy keeps vertex 0 and so loses 3 and 6; the optimum drops 0 alone,
-    # so the search runs down every position before it improves on greedy
+    # so the search runs down every position before it improves on greedy,
+    # and it nests no call per position, so a low recursion limit is no bar
     clashes = {(0, 1): "a", (2, 3): "a", (0, 4): "b", (5, 6): "b"}
     c = Colouring.from_values(ColouringSpec(2, 1, 2), lambda e: clashes.get(e, e), "two-clashes")
-    assert exact_max_rainbow(c, GroundSet(120)).size == 119
     depth = len(inspect.stack(0))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 60)
     try:
-        with pytest.raises(BudgetError, match=r"^search layer: the exact oracle needs 121 nested "
-                                              r"calls$"):
-            exact_max_rainbow(c, GroundSet(120))
+        result = exact_max_rainbow(c, GroundSet(120))
     finally:
         sys.setrecursionlimit(limit)
+    assert result.size == 119 and result.verified
+    assert result.stats["nodes_explored"] == 267
+
+
+@settings(max_examples=120, deadline=None)
+@given(colour_seed=st.integers(0, 2**32), k=st.sampled_from([2, 3]), lower_h=st.booleans(),
+       n=st.integers(3, 12), palette=st.integers(2, 60))
+@example(colour_seed=5, k=2, lower_h=False, n=12, palette=20)
+def test_exact_matches_the_reference_search(colour_seed, k, lower_h, n, palette):
+    # the loop over runs of positions visits and counts the nodes of a plain
+    # recursive search, and passes its budget exactly where that search does
+    c = random_colouring(colour_seed, k=k, h=0 if lower_h else k - 1, palette=palette)
+    subset, nodes = reference_exact_search(c, n)
+    result = exact_max_rainbow(c, GroundSet(n))
+    assert result.subset == subset and result.stats["nodes_explored"] == nodes
+    assert result.verified
+    _, pairs = brute_force_pair_degrees(c, n)
+    sizes = Counter(c.evaluator(e) for e in combinations(range(n), k))
+    clashing = sum(size > 1 for size in sizes.values())
+    if nodes > max(math.comb(n, k), pairs, clashing ** 2):  # the search needs the most budget
+        assert exact_max_rainbow(c, GroundSet(n), budget=nodes).subset == subset
+        with pytest.raises(BudgetError, match=rf"^search layer: the exact oracle for k={k} "
+                                              rf"needs more than {nodes - 1} nodes; budget is "
+                                              rf"{nodes - 1}$"):
+            exact_max_rainbow(c, GroundSet(n), budget=nodes - 1)
 
 
 def test_exact_dominates_and_is_deterministic():
