@@ -1,13 +1,13 @@
 """Exact rational geometry colourings: circumradius, volume, similarity type.
 
-General position is decided in integers, on the points scaled by their
-common denominator.  In the plane, circumradius and similarity colours are
-closed forms in those integer points, keyed from integer ratios by
-``math.gcd`` with no Fraction built.  Volume at any dimension, and the other
-two colourings above the plane, take Fraction Cayley-Menger determinants,
-whose values ``Colouring.from_values`` keys.  There is no floating-point
-path anywhere, so colour equality is genuine equality of the underlying
-geometric quantity.
+Everything is decided in integers, on the points scaled by their common
+denominator L: general position, and every colour, read from one integer
+squared-distance matrix.  Each kernel keys its colour from an integer ratio
+by ``math.gcd`` (``keys.ratio_key``).  In the plane, circumradius and
+similarity are closed forms in the integer points; volume at any dimension,
+and circumradius off the plane, take the integer Cayley-Menger
+determinant from ``det_exact``.  There is no floating-point path anywhere,
+so colour equality is genuine equality of the underlying geometric quantity.
 """
 
 from __future__ import annotations
@@ -33,19 +33,15 @@ def as_point(coords) -> Point:
     return tuple(Fraction(c) for c in coords)
 
 
-def squared_distance(p: Point, q: Point) -> Fraction:
-    return sum((a - b) * (a - b) for a, b in zip(p, q))
-
-
-def det_exact(matrix: list[list[Fraction]]) -> Fraction:
-    """Determinant by fraction Gaussian elimination with pivot search."""
+def det_exact(matrix: list[list[int]]) -> int:
+    """Determinant of an integer matrix, by Fraction Gaussian elimination with pivot search."""
     m = [list(row) for row in matrix]
     n = len(m)
     det = Fraction(1)
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
         if pivot is None:
-            return Fraction(0)
+            return 0
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             det = -det
@@ -55,33 +51,35 @@ def det_exact(matrix: list[list[Fraction]]) -> Fraction:
             if m[r][col] != 0:
                 factor = m[r][col] * inv
                 m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
+    return int(det)
 
 
-def _distance_matrix(pts) -> list[list]:
-    return [[squared_distance(p, q) for q in pts] for p in pts]
+def _distance_matrix(pts: list[tuple[int, ...]]) -> list[list[int]]:
+    return [[sum((a - b) * (a - b) for a, b in zip(p, q)) for q in pts] for p in pts]
 
 
-def _cayley_menger(dist, idxs) -> Fraction:
+def _cayley_menger(dist, idxs) -> int:
     """Determinant of the chosen points' distance matrix bordered by (0, 1, ..., 1).
 
     Zero iff the points are affinely dependent: d+1 points on a hyperplane.
     """
-    rows = [[Fraction(0)] + [Fraction(1)] * len(idxs)]
-    rows += [[Fraction(1)] + [dist[i][j] for j in idxs] for i in idxs]
+    rows = [[0] + [1] * len(idxs)]
+    rows += [[1] + [dist[i][j] for j in idxs] for i in idxs]
     return det_exact(rows)
 
 
-def _volume(dist, idxs) -> Fraction:
-    """Squared d-volume of the simplex: (-1)^(d+1) / (2^d (d!)^2) times the bordered determinant."""
-    d = len(idxs) - 1
-    coefficient = Fraction((-1) ** (d + 1), (2 ** d) * math.factorial(d) ** 2)
-    return coefficient * _cayley_menger(dist, idxs)
+def _volume(dist, denominator, idxs) -> int | bytes:
+    """Key of the squared d-volume (-1)^(d+1) CM / ``denominator`` = |CM| / (2^d (d!)^2 L^(2d))."""
+    return ratio_key(abs(_cayley_menger(dist, idxs)), denominator)
 
 
-def _circumradius(dist, idxs) -> Fraction:
-    """Squared circumradius -det D / (2 det M), D the distance matrix and M its bordered form."""
-    return -det_exact([[dist[i][j] for j in idxs] for i in idxs]) / (2 * _cayley_menger(dist, idxs))
+def _circumradius(dist, denominator, idxs) -> int | bytes:
+    """The key of the squared circumradius -2 det D / (CM ``denominator``), that is 4 L^2.
+
+    D is the integer distance matrix and CM its bordered form; the ratio is positive.
+    """
+    return ratio_key(2 * abs(det_exact([[dist[i][j] for j in idxs] for i in idxs])),
+                     denominator * abs(_cayley_menger(dist, idxs)))
 
 
 def _plane_circumradius(pts, dist, denominator, idxs) -> int | bytes:
@@ -101,8 +99,7 @@ def _plane_similarity(dist, idxs) -> bytes:
     """The key of the triangle's squared sides in ascending order, each over twice their sum.
 
     Every order of the sides is some ordering of the vertices, so this is
-    ``_similarity_profile``'s least tuple; the scale L cancels.  Each ratio lies
-    in (0, 1/2), so ``ratio_key`` gives bytes, joined as ``canonical_key`` joins a tuple's.
+    ``_similarity``'s key on three points.
     """
     a, b, c = idxs
     row = dist[a]
@@ -111,18 +108,20 @@ def _plane_similarity(dist, idxs) -> bytes:
     return b"(%s,%s,%s)" % (ratio_key(s1, total), ratio_key(s2, total), ratio_key(s3, total))
 
 
-def _similarity_profile(dist, idxs) -> tuple[Fraction, ...]:
-    """The least squared-distance tuple over orderings of the points, over their total.
+def _similarity(dist, idxs) -> bytes:
+    """The key of the least squared-distance tuple over orderings of the points, over their total.
 
-    The total is positive, so dividing after the minimum keeps its order.
+    That total is twice the tuple's sum, so dividing after the minimum keeps its
+    order and L cancels.  From three points on, each ratio lies in (0, 1/2), so
+    ``ratio_key`` gives bytes, joined as ``canonical_key`` joins a tuple's.
     """
     n = len(idxs)
     least = min(
         tuple(dist[perm[a]][perm[b]] for a in range(n) for b in range(a + 1, n))
         for perm in permutations(idxs)
     )
-    total = sum(dist[i][j] for i in idxs for j in idxs)
-    return tuple(x / total for x in least)
+    total = 2 * sum(least)
+    return b"(%s)" % b",".join(ratio_key(x, total) for x in least)
 
 
 @dataclass(frozen=True)
@@ -259,11 +258,8 @@ def find_sphere_violation(inst: PointInstance, budget: int = DEFAULT_BUDGET):
 
 def _require_general_position(inst: PointInstance, sphere: bool, budget: int) -> None:
     """Raise ``ValidationError`` naming the first hyperplane or, if ``sphere``, sphere witness."""
-    checks = [("hyperplane", find_hyperplane_violation)]
-    if sphere:
-        checks.append(("sphere", find_sphere_violation))
-    for shape, find in checks:
-        witness = find(inst, budget=budget)
+    for shape in ("hyperplane", "sphere") if sphere else ("hyperplane",):
+        witness = _first_violation(inst, shape == "sphere", budget)
         if witness is not None:
             described = "; ".join("(" + ", ".join(str(c) for c in inst.points[i]) + ")"
                                   for i in witness)
@@ -318,12 +314,10 @@ def circumradius_colouring(inst: PointInstance, budget: int = DEFAULT_BUDGET) ->
     """
     _require_general_position(inst, True, budget)
     spec = ColouringSpec(k=inst.dim + 1, h=inst.dim, max_petals=2)
-    if inst.dim == 2:
-        scale, pts = _integer_points(inst)
-        return Colouring(spec, partial(_plane_circumradius, pts, _distance_matrix(pts),
-                                       4 * scale * scale), "circumradius")
-    return Colouring.from_values(spec, partial(_circumradius, _distance_matrix(inst.points)),
-                                 "circumradius")
+    scale, pts = _integer_points(inst)
+    kernel = partial(_plane_circumradius, pts) if inst.dim == 2 else _circumradius
+    return Colouring(spec, partial(kernel, _distance_matrix(pts), 4 * scale * scale),
+                     "circumradius")
 
 
 def volume_colouring(inst: PointInstance, budget: int = DEFAULT_BUDGET) -> Colouring:
@@ -333,21 +327,24 @@ def volume_colouring(inst: PointInstance, budget: int = DEFAULT_BUDGET) -> Colou
     """
     _require_general_position(inst, False, budget)
     spec = ColouringSpec(k=inst.dim + 1, h=inst.dim, max_petals=2 * inst.dim)
-    return Colouring.from_values(spec, partial(_volume, _distance_matrix(inst.points)), "volume")
+    scale, pts = _integer_points(inst)
+    denominator = 2 ** inst.dim * (math.factorial(inst.dim) * scale ** inst.dim) ** 2
+    return Colouring(spec, partial(_volume, _distance_matrix(pts), denominator), "volume")
 
 
 def similarity_colouring(inst: PointInstance, budget: int = DEFAULT_BUDGET) -> Colouring:
     """Colour (d+1)-tuples by similarity class; at most 2(d+1)! petals per core.
 
-    Refuses points with d+1 on a hyperplane.
+    Refuses points with d+1 on a hyperplane, and dimension 1: the bound needs
+    a core that fixes the scale, and every segment is similar to every other.
     """
+    if inst.dim < 2:
+        raise ParameterError("the similarity colouring needs d >= 2: all segments are similar")
     _require_general_position(inst, False, budget)
     spec = ColouringSpec(k=inst.dim + 1, h=inst.dim, max_petals=2 * math.factorial(inst.dim + 1))
-    if inst.dim == 2:
-        dist = _distance_matrix(_integer_points(inst)[1])
-        return Colouring(spec, partial(_plane_similarity, dist), "similarity")
-    return Colouring.from_values(spec, partial(_similarity_profile, _distance_matrix(inst.points)),
-                                 "similarity")
+    kernel = _plane_similarity if inst.dim == 2 else _similarity
+    dist = _distance_matrix(_integer_points(inst)[1])
+    return Colouring(spec, partial(kernel, dist), "similarity")
 
 
 def points_to_obj(inst: PointInstance) -> dict:

@@ -141,6 +141,18 @@ def test_find_collinear_points_volume_exit2(tmp_path, capsys):
     assert "0" in err and "2" in err
 
 
+def test_find_similarity_in_dimension_one_exit2(tmp_path, capsys):
+    # every segment is similar to every other, so no petal bound holds
+    inst = tmp_path / "line.json"
+    points = PointInstance(dim=1, points=tuple((Fraction(t),) for t in (0, 1, 3, 7, 12, 20, 33)))
+    inst.write_text(json.dumps(points_to_obj(points)) + "\n")
+    out = tmp_path / "r.json"
+    assert run("find", "--instance", str(inst), "--colouring", "similarity",
+               "--out", str(out)) == 2
+    assert "similarity colouring needs d >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_find_refuses_an_over_budget_validation_exit3(tmp_path, capsys):
     # 10 points: the hyperplane check needs C(10, 2) = 45 direction hashes,
     # the circumradius colouring's sphere check C(10, 3) = 120

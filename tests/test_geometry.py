@@ -31,10 +31,9 @@ from rainbowsets.geometry import (
     points_from_obj,
     points_to_obj,
     similarity_colouring,
-    squared_distance,
     volume_colouring,
 )
-from rainbowsets.hypergraph import GroundSet, validate_lambda
+from rainbowsets.hypergraph import Colouring, GroundSet, validate_lambda
 
 
 def instance(points) -> PointInstance:
@@ -136,7 +135,8 @@ def test_circumradius_equidistance_property():
         r2 = simplex_colour(circumradius_colouring, pts)
         # recover the centre independently from two perpendicular bisector rows
         centre = tuple(circumcentre(pts))
-        assert all(colour_key(squared_distance(centre, as_point(p))) == r2 for p in pts)
+        assert all(colour_key(sum((c - Fraction(x)) ** 2 for c, x in zip(centre, p))) == r2
+                   for p in pts)
 
 
 # small rational coordinates, so that dependent and cospherical sets are common
@@ -506,6 +506,7 @@ SIXTHS = [tuple(Fraction(c) for c in p) for p in
 @example(points=[(0, 0), (1, 0), (1, 1), (0, 1)])  # concyclic: only circumradius refuses
 @example(points=[(0, 0), (1, 1), (2, 2), (0, 1)])  # collinear: all three refuse
 @example(points=[(0,), (1,), (3,)])
+@example(points=[(0,), (1,), (3,), (7,), (12,), (20,), (33,)])  # 6 similar segments at 0
 @example(points=[(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
 def test_colourings_refuse_exactly_the_oracle_witnesses(points):
     # each factory refuses the first witness the determinant oracle names;
@@ -528,9 +529,13 @@ def test_colourings_refuse_exactly_the_oracle_witnesses(points):
         return
     volume = volume_colouring(inst).evaluator
     assert all(volume(e) == colour_key(simplex_squared_volume(s)) for e, s in simplices.items())
-    similarity = similarity_colouring(inst).evaluator
-    for (e1, s1), (e2, s2) in combinations(simplices.items(), 2):
-        assert (similarity(e1) == similarity(e2)) == similar_simplices(s1, s2)
+    if inst.dim == 1:  # every segment is similar to every other: no petal bound holds
+        with pytest.raises(ParameterError, match="similarity colouring needs d >= 2"):
+            similarity_colouring(inst)
+    else:
+        similarity = similarity_colouring(inst).evaluator
+        for (e1, s1), (e2, s2) in combinations(simplices.items(), 2):
+            assert (similarity(e1) == similarity(e2)) == similar_simplices(s1, s2)
     if sphere is None:
         radius = circumradius_colouring(inst).evaluator
         assert all(radius(e) == colour_key(simplex_squared_circumradius(s))
@@ -564,28 +569,49 @@ plane_coordinates = st.integers(-30, 30) | st.builds(Fraction, st.integers(-30, 
 
 
 @settings(max_examples=300, deadline=None)
-@given(points=st.lists(st.tuples(plane_coordinates, plane_coordinates), min_size=3,
-                       max_size=3, unique=True))
+@given(points=point_lists(0, 0, plane_coordinates))
 @example(points=[(0, 0), (6, 0), (0, 8)])  # R^2 = 25, an int key
 @example(points=[(0, 0), (3, 0), (0, 4)])  # R^2 = 25/4
 @example(points=[(Fraction(-1, 3), 2), (0, 0), (Fraction(2, 3), Fraction(-5, 7))])
-def test_plane_kernel_keys_match_the_definitions(points):
-    # the plane kernels give their keys from integer ratios with no Fraction;
-    # each equals the key of the value the helpers derive from the
-    # definition, in value and type, as does the volume colouring's key
+@example(points=[(Fraction(-1, 3),), (5,)])
+@example(points=[(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)])  # R^2 = 3, volume 16/9
+@example(points=[(1, 2, 2), (2, 1, -2), (-2, 2, 1), (Fraction(2, 3), -2, 1)])
+def test_kernel_keys_match_the_definitions(points):
+    # every kernel gives its key from integer ratios with no Fraction; each
+    # equals the key of the value the helpers derive from the definition, in
+    # value and type, at d = 1..3 (similarity from d = 2)
     volume = simplex_squared_volume(points)
     if volume == 0:
         reject()
-    edge = (0, 1, 2)
+    edge = tuple(range(len(points)))
     radius = simplex_squared_circumradius(points)
-    for factory, value in ((circumradius_colouring, radius),
-                           (similarity_colouring, similarity_profile(points)),
-                           (volume_colouring, volume)):
+    checks = [(circumradius_colouring, radius), (volume_colouring, volume)]
+    if len(points) > 2:
+        checks.append((similarity_colouring, similarity_profile(points)))
+    for factory, value in checks:
         key, want = factory(instance(points)).evaluator(edge), colour_key(value)
         assert key == want
         assert type(key) is type(want)
     if radius.denominator == 1:
         assert circumradius_colouring(instance(points)).evaluator(edge) == radius.numerator
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_geometric_colours_are_not_built_from_values(monkeypatch, dim):
+    # every built-in geometric kernel returns keys from the integer points,
+    # so none is built through the value path
+    def refuse(spec, values, label):
+        raise AssertionError("from_values called")
+
+    monkeypatch.setattr(Colouring, "from_values", refuse)
+    inst = generate_general_position(7, dim, seed=dim)
+    factories = [circumradius_colouring, volume_colouring]
+    if dim > 1:
+        factories.append(similarity_colouring)
+    for factory in factories:
+        keys = list(factory(inst).colours(range(len(inst))))
+        assert len(keys) == math.comb(len(inst), dim + 1)
+        assert {int, bytes}.issuperset(map(type, keys))
 
 
 def test_colouring_specs():
