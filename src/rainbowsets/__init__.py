@@ -46,7 +46,6 @@ from .hypergraph import (
     max_monochromatic_sunflower,
     validate_lambda,
 )
-from .keys import canonical_key
 
 __all__ = [
     "BudgetError",
@@ -66,7 +65,6 @@ __all__ = [
     "SymPoly",
     "ValidationError",
     "build_conflict_hypergraph",
-    "canonical_key",
     "circumradius_colouring",
     "colour_classes",
     "derive_seed",

@@ -113,7 +113,7 @@ def _similarity(dist, idxs) -> bytes:
 
     That total is twice the tuple's sum, so dividing after the minimum keeps its
     order and L cancels.  From three points on, each ratio lies in (0, 1/2), so
-    ``ratio_key`` gives bytes, joined as ``canonical_key`` joins a tuple's.
+    ``ratio_key`` gives bytes, joined with commas inside brackets.
     """
     n = len(idxs)
     least = min(

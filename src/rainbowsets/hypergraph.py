@@ -11,29 +11,15 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, combinations, repeat
 from typing import Callable, Iterable, Sequence
 
 from .errors import ParameterError, require_budget
-from .keys import canonical_key, require_keys
+from .keys import require_keys
 
 # Exhaustive operations refuse to touch more k-subsets than this unless the
 # caller raises the budget explicitly; they fail loudly rather than sample.
 DEFAULT_BUDGET = 5_000_000
-
-
-def _key(colour):
-    """The key that stands for the exact value ``colour`` (see ``Colouring.from_values``).
-
-    An integer-valued number keys as the plain int, any other colour as its
-    ``canonical_key``, whose bytes cache their hash; so two colours are equal
-    exactly when their keys are, and a float or a bool raises TypeError.
-    """
-    if isinstance(colour, (int, Fraction)) and not isinstance(colour, bool):
-        if colour.denominator == 1:
-            return int(colour)
-    return canonical_key(colour)
 
 
 @dataclass(frozen=True)
@@ -78,11 +64,10 @@ class Colouring:
 
     The evaluator receives the subset as a sorted tuple of vertex ids and
     returns the key of its colour: a plain int for an integer-valued colour,
-    else the colour's ``keys.canonical_key`` bytes, so two colours are equal
-    exactly when their keys are and no pass hashes a Fraction.  A colouring
-    given by exact values (int, Fraction, tuple, ...) is built with
-    ``from_values``, which keys each one; every pass refuses a key that is
-    neither a plain int nor bytes.  ``rows``, if given, gives the keys
+    else bytes that name the exact value, such as ``keys.ratio_key`` gives,
+    so two colours are equal exactly when their keys are and no pass hashes
+    a Fraction.  Every pass refuses a key that is neither a plain int nor
+    bytes (``keys.require_keys``).  ``rows``, if given, gives the keys
     of a whole ascending vertex list at once.  ``scan``, if given, stands in
     for the default ``greedy_scan`` and must take the same vertices in the
     same order.
@@ -93,11 +78,6 @@ class Colouring:
     label: str
     rows: Callable[[Sequence[int]], Iterable] | None = None
     scan: Callable[[Sequence[int]], list[int]] | None = None
-
-    @classmethod
-    def from_values(cls, spec: ColouringSpec, values: Callable, label: str) -> Colouring:
-        """The colouring that keys each exact value of ``values`` by ``_key``, so a float raises."""
-        return cls(spec, lambda edge: _key(values(edge)), label)
 
     def greedy_scan(self, seq: Sequence[int]) -> list[int]:
         """The vertices of ``seq`` that greedy takes, in the order it takes them.
@@ -229,8 +209,8 @@ def max_monochromatic_sunflower(
     frequent (core, colour) pair, with the class's edges through that core,
     in class order, as witnesses.  For h = 0 the core is empty and the petal
     count is the size of the largest colour class.
-    Deterministic: colour classes are scanned in the order of their
-    canonical keys, which the report names (an int key n is ``b"%d" % n``),
+    Deterministic: colour classes are scanned in the order of their key
+    bytes, which the report names (an int key n is ``b"%d" % n``),
     and a class replaces the incumbent only with strictly more petals, at its
     smallest core with that many.
     """

@@ -15,12 +15,43 @@ from itertools import combinations, permutations
 
 from rainbowsets.engine import _splitmix64
 from rainbowsets.hypergraph import Colouring, ColouringSpec
-from rainbowsets.keys import canonical_key
+
+
+def canonical_key(value) -> bytes:
+    """Serialize an exact colour value (int, Fraction, str, bytes, or tuples of these) to bytes.
+
+    Numbers share one encoding, their decimal text, so ``3`` and
+    ``Fraction(3, 1)`` map to the same key; Fraction's lowest-terms normal
+    form keeps it canonical, and a number is keyed by its value, so an int
+    or Fraction subclass shares the key of the equal plain number.  Strings
+    and bytes are length-prefixed and tuples bracketed, so distinct values
+    never collide.  A float or a bool, at any depth, raises TypeError.
+    """
+    if isinstance(value, Fraction):
+        ratio = value.as_integer_ratio()
+        return b"%d" % ratio[0] if ratio[1] == 1 else b"%d/%d" % ratio
+    if isinstance(value, bool):
+        raise TypeError("booleans are not colour values")
+    if isinstance(value, int):
+        return b"%d" % value
+    if isinstance(value, str):
+        data = value.encode("utf-8")
+        return b"s%d:%s" % (len(data), data)
+    if isinstance(value, bytes):
+        return b"b%d:%s" % (len(value), value)
+    if isinstance(value, tuple):
+        return b"(%s)" % b",".join(map(canonical_key, value))
+    raise TypeError(f"no canonical key for {type(value).__name__}")
+
+
+def keyed_colouring(spec: ColouringSpec, values, label: str) -> Colouring:
+    """The colouring whose evaluator keys each exact value ``values(edge)`` by ``colour_key``."""
+    return Colouring(spec, lambda edge: colour_key(values(edge)), label)
 
 
 def injective_colouring(k=2, h=1, declared=1) -> Colouring:
     """Every edge its own colour: the edge tuple itself is the value."""
-    return Colouring.from_values(ColouringSpec(k, h, declared), lambda e: e, "injective")
+    return keyed_colouring(ColouringSpec(k, h, declared), lambda e: e, "injective")
 
 
 def constant_colouring(k=2, h=1, declared=1) -> Colouring:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from helpers import all_subsets, colour_key, direct_poly_value, is_sidon
+from helpers import all_subsets, canonical_key, colour_key, direct_poly_value, is_sidon
 from rainbowsets.algebra import (
     _MAP_SPAN,
     IntegerInstance,
@@ -24,7 +24,6 @@ from rainbowsets.algebra import (
 from rainbowsets.engine import exact_max_rainbow, verify_rainbow
 from rainbowsets.errors import ParameterError, ValidationError
 from rainbowsets.hypergraph import GroundSet, validate_lambda
-from rainbowsets.keys import canonical_key
 
 X_PLUS_Y = {(1, 0): 1, (0, 1): 1}
 XY = {(1, 1): 1}

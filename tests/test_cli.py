@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,11 +12,11 @@ import pytest
 
 from helpers import is_sidon, spiral_coords
 import rainbowsets
-from rainbowsets import cli, engine
+from rainbowsets import algebra, cli, engine
 from rainbowsets.algebra import IntegerInstance, integers_to_obj
 from rainbowsets.engine import derive_seed, exact_max_rainbow
 from rainbowsets.geometry import PointInstance, points_from_obj, points_to_obj
-from rainbowsets.hypergraph import GroundSet
+from rainbowsets.hypergraph import ColouringSpec, GroundSet
 
 
 def run(*argv):
@@ -112,6 +113,18 @@ def test_find_sidon_greedy(tmp_path, capsys):
     assert "runtime" not in json.dumps(result)
     err = capsys.readouterr().err
     assert "rainbow size=" in err
+
+
+def test_find_unverified_result_exit1(tmp_path, capsys, monkeypatch):
+    # a subset that fails its closing verification is written as such, with exit 1
+    monkeypatch.setattr(engine, "verify_rainbow", lambda colouring, subset, budget: False)
+    inst = tmp_path / "ints.json"
+    run("generate", "integers-range", "--n", "20", "--out", str(inst))
+    out = tmp_path / "result.json"
+    assert run("find", "--instance", str(inst), "--colouring", "sidon", "--algorithm", "greedy",
+               "--out", str(out)) == 1
+    assert json.loads(out.read_text())["verified"] is False
+    assert "verified=False" in capsys.readouterr().err
 
 
 def test_find_exact_points_reports_optimum(tmp_path):
@@ -393,6 +406,21 @@ def test_audit_points(tmp_path, capsys):
         code = run("audit", "--instance", str(inst), "--colouring", colouring)
         assert code == 0, colouring
         assert "PASS" in capsys.readouterr().out
+
+
+def test_audit_fail_exit2(tmp_path, capsys, monkeypatch):
+    # a colouring whose audit finds more petals than it declares fails: FAIL, exit 2
+    sidon = algebra.sidon_colouring
+    monkeypatch.setattr(algebra, "sidon_colouring",
+                        lambda inst: replace(sidon(inst), spec=ColouringSpec(2, 1, 1)))
+    inst = tmp_path / "ints.json"
+    run("generate", "integers-range", "--n", "30", "--out", str(inst))
+    report = tmp_path / "audit.json"
+    assert run("audit", "--instance", str(inst), "--colouring", "sidon",
+               "--out", str(report)) == 2
+    assert capsys.readouterr().out.endswith("FAIL\n")
+    obj = json.loads(report.read_text())
+    assert (obj["pass"], obj["petals"], obj["declared_max_petals"]) == (False, 2, 1)
 
 
 def test_audit_collinear_exit2(tmp_path):

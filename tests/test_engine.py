@@ -1,6 +1,7 @@
 import inspect
 import math
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -14,6 +15,7 @@ from helpers import (
     brute_force_pair_degrees,
     constant_colouring,
     injective_colouring,
+    keyed_colouring,
     random_colouring,
     reference_exact_search,
     reference_greedy,
@@ -331,7 +333,7 @@ def test_sample_kept_pairs_refused_by_the_shared_builder():
 
 def test_sample_float_colours_raise_type_error():
     # a value colouring keys each colour with canonical_key, which has no float encoding
-    c = Colouring.from_values(ColouringSpec(2, 1, 1), lambda e: e[0] / 2, "halves")
+    c = keyed_colouring(ColouringSpec(2, 1, 1), lambda e: e[0] / 2, "halves")
     plan = SamplePlan.from_spec(6, 2, 1, seed=0, p=1.0)
     with pytest.raises(TypeError, match="no canonical key for float"):
         sample_and_delete(c, GroundSet(6), plan)
@@ -345,8 +347,7 @@ def test_every_colour_value_is_keyed(odd):
     # counting and verification refuse it, or a float nested in a tuple,
     # wherever it appears.  The plan keeps no vertex, so only the counting
     # pass over the whole ground set sees the last edge.
-    c = Colouring.from_values(ColouringSpec(2, 1, 1), lambda e: odd if e == (4, 5) else 1,
-                              "mixed")
+    c = keyed_colouring(ColouringSpec(2, 1, 1), lambda e: odd if e == (4, 5) else 1, "mixed")
     plan = SamplePlan(p=1e-9, seed=0)
     with pytest.raises(TypeError):
         sample_and_delete(c, GroundSet(6), plan)
@@ -357,35 +358,48 @@ def test_every_colour_value_is_keyed(odd):
     # float differences of 1..10 round apart, so {1, 2, 3} would pass as
     # rainbow by raw value although 2 - 1 == 3 - 2; verification refuses
     # the floats, and so does greedy's scan, which compares colour keys
-    tenths = Colouring.from_values(ColouringSpec(2, 1, 2),
-                                   lambda e: 0.1 * (e[1] + 1) - 0.1 * (e[0] + 1), "tenths")
+    tenths = keyed_colouring(ColouringSpec(2, 1, 2),
+                             lambda e: 0.1 * (e[1] + 1) - 0.1 * (e[0] + 1), "tenths")
     with pytest.raises(TypeError):
         verify_rainbow(tenths, (0, 1, 2))
     with pytest.raises(TypeError):
         greedy_rainbow(tenths, GroundSet(10))
 
 
-def test_every_pass_refuses_colours_that_are_not_keys():
-    # a colouring built directly returns keys; every pass checks that each
-    # distinct colour it groups or compares is a plain int or bytes, so raw
-    # float colours, which would certify {1, 2, 3} of 1..10 although
-    # 2 - 1 == 3 - 2, and which the audit would name by their truncation,
-    # raise, and so do raw Fractions and bools
-    spec = ColouringSpec(2, 1, 2)
-    raw = [Colouring(spec, lambda e: 0.1 * (e[1] + 1) - 0.1 * (e[0] + 1), "tenths"),
-           Colouring(spec, lambda e: Fraction(e[1] - e[0], 3), "thirds"),
-           Colouring(spec, lambda e: e[0] == 0, "bools")]
-    g = GroundSet(10)
-    passes = [lambda c: verify_rainbow(c, (0, 1, 2)), lambda c: greedy_rainbow(c, g),
-              lambda c: colour_classes(c, g), lambda c: colour_class_sizes(c, g),
-              lambda c: validate_lambda(c, g), lambda c: build_conflict_hypergraph(c, g),
-              lambda c: sample_and_delete(c, g, SamplePlan(p=1.0, seed=0)),
-              lambda c: exact_max_rainbow(c, g)]
-    for c in raw:
-        for run in passes:
-            with pytest.raises(TypeError, match="colour keys must be plain ints or bytes"):
-                run(c)
-    assert verify_rainbow(Colouring(spec, lambda e: b"%d" % (e[1] - e[0]), "bytes"), (0, 1, 3))
+# raw colour values that are not keys, each of which a pass could group or
+# compare unchecked: float colours would certify {1, 2, 3} of 1..10 although
+# 2 - 1 == 3 - 2, and the audit would name them by their truncation; True == 1;
+# and a Fraction or a tuple hashes like no key of its value
+RAW_COLOURS = {
+    "float": lambda e: 0.1 * (e[1] + 1) - 0.1 * (e[0] + 1),
+    "bool": lambda e: e[0] == 0,
+    "fraction": lambda e: Fraction(e[1] - e[0], 3),
+    "tuple": lambda e: (e[1] - e[0],),
+}
+PASSES = {
+    "colour_classes": colour_classes,
+    "colour_class_sizes": colour_class_sizes,
+    "build_conflict_hypergraph": build_conflict_hypergraph,
+    "verify_rainbow": lambda c, g: verify_rainbow(c, (0, 1, 2)),
+    "validate_lambda": validate_lambda,
+    "sample_and_delete": lambda c, g: sample_and_delete(c, g, SamplePlan(p=1.0, seed=0)),
+    "exact_max_rainbow": exact_max_rainbow,
+    "greedy_rainbow": greedy_rainbow,
+}
+
+
+@pytest.mark.parametrize("run", PASSES.values(), ids=PASSES)
+def test_each_pass_refuses_raw_colours_with_the_key_check(run):
+    # a directly built colouring is the one way a raw value reaches a pass,
+    # and each pass refuses it through keys.require_keys; bytes keys pass
+    spec, g = ColouringSpec(2, 1, 2), GroundSet(10)
+    message = "colour keys must be plain ints or bytes, such as keys.ratio_key gives"
+    for label, raw in RAW_COLOURS.items():
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            run(Colouring(spec, raw, label), g)
+    keyed = Colouring(spec, lambda e: b"%d" % (e[1] - e[0]), "bytes")
+    run(keyed, g)
+    assert verify_rainbow(keyed, (0, 1, 3))
 
 
 def rational_cases():
@@ -493,7 +507,7 @@ def test_exact_answers_a_search_deeper_than_the_interpreter_allows():
     # so the search runs down every position before it improves on greedy,
     # and it nests no call per position, so a low recursion limit is no bar
     clashes = {(0, 1): "a", (2, 3): "a", (0, 4): "b", (5, 6): "b"}
-    c = Colouring.from_values(ColouringSpec(2, 1, 2), lambda e: clashes.get(e, e), "two-clashes")
+    c = keyed_colouring(ColouringSpec(2, 1, 2), lambda e: clashes.get(e, e), "two-clashes")
     depth = len(inspect.stack(0))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 60)

@@ -13,6 +13,7 @@ from helpers import (
     circumcentre,
     colour_key,
     general_position_witnesses,
+    leibniz_det,
     lifted_determinant,
     similar_simplices,
     similarity_profile,
@@ -542,6 +543,41 @@ def test_colourings_refuse_exactly_the_oracle_witnesses(points):
                    for e, s in simplices.items())
 
 
+@pytest.mark.parametrize("ts, sphere", [((-3, -1, 1, 3), (0, 1, 2, 3)), ((1, 2, 3, 4), None)],
+                         ids=["t-sum-zero", "t-sum-ten"])
+def test_parabola_points_are_concyclic_exactly_when_their_parameters_sum_to_zero(ts, sphere):
+    # four points (t, t^2) lie on a circle iff their t sum to 0: the lifted
+    # determinant is a Vandermonde times that sum; no three are collinear
+    points = [(t, t * t) for t in ts]
+    assert general_position_witnesses(points) == (None, sphere)
+    inst = instance(points)
+    if sphere is None:
+        circumradius_colouring(inst)
+    else:
+        with pytest.raises(ValidationError, match=re.escape(
+                "points [0, 1, 2, 3] lie on a sphere: (-3, 9); (-1, 1); (1, 1); (3, 9)")):
+            circumradius_colouring(inst)
+    volume_colouring(inst)
+    similarity_colouring(inst)
+
+
+square_matrices = st.integers(1, 5).flatmap(
+    lambda size: st.lists(st.lists(st.integers(-10**6, 10**6), min_size=size, max_size=size),
+                          min_size=size, max_size=size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix=square_matrices)
+@example(matrix=[[0, 2, 3], [4, 5, 6], [7, 8, 10]])  # zero leading pivot: one swap flips the sign
+@example(matrix=[[1, 2, 3], [4, 5, 6], [1, 2, 3]])  # a repeated row
+@example(matrix=[[1, 0, 3], [4, 0, 6], [7, 0, 9]])  # a zero column
+@example(matrix=[[1, 2, 3, 4], [5, 6, 7, 9], [6, 8, 10, 13], [2, 0, 1, 1]])  # row 3 = rows 1 + 2
+@example(matrix=[[-10**6]])
+def test_det_exact_matches_the_leibniz_oracle(matrix):
+    det = geometry.det_exact(matrix)
+    assert det == leibniz_det(matrix) and type(det) is int
+
+
 def test_plane_circumradius_and_similarity_need_no_determinant(monkeypatch):
     # in the plane both colours are closed forms in the integer points, so
     # neither falls back to the determinant; volume, and circumradius above
@@ -597,13 +633,10 @@ def test_kernel_keys_match_the_definitions(points):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_geometric_colours_are_not_built_from_values(monkeypatch, dim):
-    # every built-in geometric kernel returns keys from the integer points,
-    # so none is built through the value path
-    def refuse(spec, values, label):
-        raise AssertionError("from_values called")
-
-    monkeypatch.setattr(Colouring, "from_values", refuse)
+def test_geometric_colours_are_not_built_from_values(dim):
+    # every built-in geometric kernel returns keys from the integer points;
+    # the library has no value path left to build a colouring through
+    assert not hasattr(Colouring, "from_values")
     inst = generate_general_position(7, dim, seed=dim)
     factories = [circumradius_colouring, volume_colouring]
     if dim > 1:

@@ -12,17 +12,18 @@ from helpers import (
     all_subsets,
     brute_force_pair_degrees,
     brute_force_sunflower,
+    canonical_key,
     colour_key,
     constant_colouring,
     injective_colouring,
     keyed_class_sizes,
+    keyed_colouring,
     random_colouring,
 )
 from rainbowsets.algebra import IntegerInstance, sidon_colouring
 from rainbowsets.engine import verify_rainbow
 from rainbowsets.errors import BudgetError, ParameterError
 from rainbowsets.hypergraph import (
-    _key,
     Colouring,
     ColouringSpec,
     GroundSet,
@@ -32,7 +33,7 @@ from rainbowsets.hypergraph import (
     max_monochromatic_sunflower,
     validate_lambda,
 )
-from rainbowsets.keys import canonical_key
+from rainbowsets.keys import ratio_key, require_keys
 
 
 def test_ground_set_needs_vertices():
@@ -136,6 +137,18 @@ def test_canonical_key_rejects_booleans():
             canonical_key(value)
 
 
+@settings(max_examples=300, deadline=None)
+@given(numerator=st.integers(-2**80, 2**80), denominator=st.integers(1, 2**80))
+@example(numerator=0, denominator=7)
+@example(numerator=-12, denominator=4)
+@example(numerator=-2**80, denominator=6)
+@example(numerator=2**80, denominator=1)
+def test_ratio_key_is_the_key_of_the_fraction(numerator, denominator):
+    # the kernels' one keying function keys n/d as the value n/d is keyed
+    key, want = ratio_key(numerator, denominator), colour_key(Fraction(numerator, denominator))
+    assert key == want and type(key) is type(want)
+
+
 class Tagged(int):
     """An int that prints as a word."""
 
@@ -164,8 +177,8 @@ def test_number_subclasses_key_by_value(value, plain, key):
     assert value == plain
     assert canonical_key(value) == canonical_key(plain) == key
     colour = int(key) if type(plain) is int else key
-    c = Colouring.from_values(ColouringSpec(2, 1, 1), lambda e: value if e == (1, 3) else plain,
-                              "subclass")
+    c = keyed_colouring(ColouringSpec(2, 1, 1), lambda e: value if e == (1, 3) else plain,
+                        "subclass")
     classes = colour_classes(c, GroundSet(4))
     assert classes == {colour: list(combinations(range(4), 2))}
     assert list(map(type, classes)) == [type(colour)]
@@ -194,7 +207,7 @@ INEXACT_VALUES = st.recursive(
 
 def drawn_colouring(values) -> Colouring:
     """Colour each 1-edge (v,) by values[v], keyed where the colouring is built."""
-    return Colouring.from_values(ColouringSpec(1, 0, 1), lambda e: values[e[0]], "drawn")
+    return keyed_colouring(ColouringSpec(1, 0, 1), lambda e: values[e[0]], "drawn")
 
 
 @settings(max_examples=200, deadline=None)
@@ -208,7 +221,7 @@ def test_colour_keys_agree_with_canonical_keys(values):
     # an integer-valued number keys as the plain int, whose canonical bytes
     # are its decimal text, and any other colour as its canonical bytes.
     # A colouring built from these values gives the same keys
-    keys = list(map(_key, values))
+    keys = list(map(colour_key, values))
     for value, key in zip(values, keys):
         assert type(key) in (int, bytes)
         assert (b"%d" % key if type(key) is int else key) == canonical_key(value)
@@ -225,9 +238,15 @@ def test_colour_keys_agree_with_canonical_keys(values):
 @example(value=(Fraction(1, 2), (3, (False,))))
 def test_inexact_colours_have_no_key(value):
     with pytest.raises(TypeError):
-        _key(value)
+        colour_key(value)
     with pytest.raises(TypeError):
         list(drawn_colouring([value]).colours(range(1)))
+    # returned unkeyed, the value is refused by every pass's key check
+    with pytest.raises(TypeError, match="^colour keys must be plain ints or bytes"):
+        require_keys([value])
+    raw = Colouring(ColouringSpec(1, 0, 1), lambda e: value, "raw")
+    with pytest.raises(TypeError, match="^colour keys must be plain ints or bytes"):
+        colour_classes(raw, GroundSet(1))
 
 
 # one odd colour among small ints: any exact value, or one that must raise
@@ -256,7 +275,7 @@ def test_class_sizes_match_keyed_count(seed, k, n, palette, odd, at):
     def value(e):
         return odd if e == odd_edge else base.evaluator(e)
 
-    c = Colouring.from_values(base.spec, value, "odd")
+    c = keyed_colouring(base.spec, value, "odd")
     try:
         expected = keyed_class_sizes(value, k, n)
     except TypeError:
@@ -273,8 +292,8 @@ def test_class_sizes_match_keyed_count(seed, k, n, palette, odd, at):
 @pytest.mark.parametrize("odd_edge", [(0, 1), (2, 4), (3, 4)])
 def test_class_sizes_merge_equal_numbers_only(odd_edge):
     def colouring(odd):
-        return Colouring.from_values(ColouringSpec(2, 1, 1), lambda e: odd if e == odd_edge else 3,
-                                     "threes")
+        return keyed_colouring(ColouringSpec(2, 1, 1), lambda e: odd if e == odd_edge else 3,
+                               "threes")
 
     edges = list(combinations(range(5), 2))
     others = [e for e in edges if e != odd_edge]
@@ -386,7 +405,7 @@ TIED_CASE = (2, 1, 4, {(0, 1): 3, (0, 2): Fraction(6, 2), (0, 3): (3,), (1, 2): 
 @example(case=(3, 2, 5, dict.fromkeys(combinations(range(5), 3), Fraction(1, 3))))
 def test_sunflower_report_matches_brute_force_for_any_colour_value(case):
     k, h, n, values = case
-    c = Colouring.from_values(ColouringSpec(k, h, 1), values.__getitem__, "drawn")
+    c = keyed_colouring(ColouringSpec(k, h, 1), values.__getitem__, "drawn")
     report = max_monochromatic_sunflower(c, GroundSet(n))
     assert ((report.core, report.colour, report.petals, report.witness_edges)
             == brute_force_sunflower(values.__getitem__, n, k, h))

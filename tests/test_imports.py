@@ -41,8 +41,8 @@ def test_checker_flags_only_unread_names():
     source = ("from __future__ import annotations\n"
               "import json, os.path\n"
               "from math import comb, gcd as g\n"
-              "from .keys import canonical_key\n"
-              "__all__ = ['canonical_key']\n"
+              "from .keys import ratio_key\n"
+              "__all__ = ['ratio_key']\n"
               "print(os.sep, g)\n")
     assert unused_imports(source) == ["comb (line 3)", "json (line 2)"]
 
