@@ -356,6 +356,11 @@ def scan_cases(draw):
 @example(case=([1, 6, 11, 15, 16, 18], [0, 5, 4, 2, 1, 3]))
 @example(case=([5], []))
 @example(case=([5], [0]))
+# past the map's rebuilds after 16, 256 and 4096 candidates, ending on a block of one
+# candidate (test_greedy_sidon_matches_the_reference_scan crosses 4096-candidate blocks)
+@example(case=(list(range(1, 4098)), list(range(4096, -1, -1))))
+# offsets gathered from values either side of 2**64, mapped, past the rebuild at 16
+@example(case=([2**64 - 60 + 7 * i for i in range(20)], [*range(0, 20, 2), *range(1, 20, 2)]))
 def test_sidon_scan_matches_the_default_scan(case):
     # the Sidon scan, refusal map or not, takes what the default scan of the
     # same evaluator takes, in the same order
@@ -393,6 +398,8 @@ def test_integer_instance_refuses_floats_and_bools():
         IntegerInstance(values=(0.5, 1))  # refused as inexact before the positivity check
     with pytest.raises(ParameterError, match="positive"):
         IntegerInstance(values=(0, 2, 1))  # positivity before ordering
+    with pytest.raises(ParameterError, match="positive"):
+        IntegerInstance(values=(2, 0, 1))  # the least value is not the first when unordered
 
 
 # ----------------------------------------------------------------- B2

@@ -337,6 +337,10 @@ def test_sample_float_colours_raise_type_error():
     plan = SamplePlan.from_spec(6, 2, 1, seed=0, p=1.0)
     with pytest.raises(TypeError, match="no canonical key for float"):
         sample_and_delete(c, GroundSet(6), plan)
+    # built directly, the colouring hands its raw floats to the library's key check
+    raw = Colouring(ColouringSpec(2, 1, 1), lambda e: e[0] / 2, "halves")
+    with pytest.raises(TypeError, match="colour keys must be plain ints or bytes"):
+        sample_and_delete(raw, GroundSet(6), plan)
 
 
 @pytest.mark.parametrize("odd", [1.0, True, (1, (2.0,))])
@@ -364,6 +368,18 @@ def test_every_colour_value_is_keyed(odd):
         verify_rainbow(tenths, (0, 1, 2))
     with pytest.raises(TypeError):
         greedy_rainbow(tenths, GroundSet(10))
+    # built directly, raw float colourings reach the library's own key check: a
+    # float that equals no other colour (a raw 1.0 would group as the int 1) and
+    # the raw tenths
+    half = Colouring(ColouringSpec(2, 1, 1), lambda e: 1.5 if e == (4, 5) else 1, "mixed")
+    raw_tenths = Colouring(tenths.spec, lambda e: 0.1 * (e[1] + 1) - 0.1 * (e[0] + 1), "tenths")
+    for run in (lambda: sample_and_delete(half, GroundSet(6), plan),
+                lambda: colour_classes(half, GroundSet(6)),
+                lambda: verify_rainbow(half, range(6)),
+                lambda: verify_rainbow(raw_tenths, (0, 1, 2)),
+                lambda: greedy_rainbow(raw_tenths, GroundSet(10))):
+        with pytest.raises(TypeError, match="colour keys must be plain ints or bytes"):
+            run()
 
 
 # raw colour values that are not keys, each of which a pass could group or

@@ -311,6 +311,13 @@ def test_class_sizes_merge_equal_numbers_only(odd_edge):
             colour_class_sizes(colouring(odd), GroundSet(5))
         with pytest.raises(TypeError):
             colour_classes(colouring(odd), GroundSet(5))
+    # built directly, a raw float that equals no other colour reaches the
+    # library's own key check (a raw 3.0 would group as the int 3)
+    raw = Colouring(ColouringSpec(2, 1, 1), lambda e: 3.5 if e == odd_edge else 3, "threes")
+    with pytest.raises(TypeError, match="colour keys must be plain ints or bytes"):
+        colour_class_sizes(raw, GroundSet(5))
+    with pytest.raises(TypeError, match="colour keys must be plain ints or bytes"):
+        colour_classes(raw, GroundSet(5))
 
 
 def test_evaluator_purity_and_symmetry():

@@ -43,6 +43,8 @@ class Mutant(NamedTuple):
 ORACLE = ("test_engine.py::test_exact_matches_the_reference_search",)
 KERNEL_KEYS = ("test_geometry.py::test_kernel_keys_match_the_definitions",)
 DET = ("test_geometry.py::test_det_exact_matches_the_leibniz_oracle",)
+SIDON_SCAN = ("test_algebra.py::test_sidon_scan_matches_the_default_scan",
+              "test_engine.py::test_greedy_sidon_matches_the_reference_scan")
 
 MUTANTS = [
     # the exact oracle's loop (search layer)
@@ -81,6 +83,15 @@ MUTANTS = [
            "b\"%d/%d\" % (numerator // g, denominator // g)",
            "b\"%d/%d\" % (numerator, denominator)",
            ("test_hypergraph.py::test_ratio_key_is_the_key_of_the_fraction",)),
+    # the Sidon scan's refusal map (search layer).  Only a map that refuses too
+    # much can change an answer: one that refuses too little, say without the
+    # mirrored half of its mask, leaves the exact test to refuse the rest, so
+    # it is sound by design and no mutant here makes it
+    Mutant("sidon-gather-skips-next", "algebra.py",
+           "j = flags.find(0, j + 1)", "j = flags.find(0, j + 2)", SIDON_SCAN),
+    Mutant("sidon-mark-one-up", "algebra.py",
+           "marks[u >> 3] |= 1 << (u & 7)", "marks[u + 1 >> 3] |= 1 << (u + 1 & 7)",
+           SIDON_SCAN),
     Mutant("sidon-signed-difference", "algebra.py",
            "return abs(values[ids[1]] - values[ids[0]])", "return values[ids[0]] - values[ids[1]]",
            ("test_algebra.py::test_colours_match_the_evaluator",)),
@@ -108,7 +119,10 @@ MUTANTS = [
            ("test_engine.py::test_verify_sidon_examples",)),
     Mutant("require-keys-lets-floats-through", "keys.py",
            "if not {int, bytes}.issuperset(", "if not {int, bytes, float}.issuperset(",
-           ("test_engine.py::test_each_pass_refuses_raw_colours_with_the_key_check",)),
+           ("test_engine.py::test_each_pass_refuses_raw_colours_with_the_key_check",
+            "test_engine.py::test_sample_float_colours_raise_type_error",
+            "test_engine.py::test_every_colour_value_is_keyed",
+            "test_hypergraph.py::test_class_sizes_merge_equal_numbers_only")),
     # the CLI and its files
     Mutant("cli-limit-unchecked", "cli.py",
            "    if algorithm == \"exact\" and args.limit is not None:",
