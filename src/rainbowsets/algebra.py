@@ -27,7 +27,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # this many times their count; see sidon_colouring.
 _MAP_SPAN = 8
 _BLOCK = 4096  # candidates tested against the map per gather
-_BITS = bytes.maketrans(b"01", b"\0\1")
+_FREE = ord("0")  # a refusal map's byte at an offset it does not refuse; b"1" refuses
 _REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))  # each byte's bits reversed
 
 
@@ -90,14 +90,20 @@ class SymPoly:
             raise ParameterError("polynomial degree must be at least 1")
         self.coeffs = dict(sorted(normalized.items()))
         self.pivot_power = min(i for i, _ in self.coeffs if i >= 1)
+        # q_pivot(y) = sum of c * y**j over these (j, c), taken once for every value
+        self._pivot = [(j, c) for (i, j), c in self.coeffs.items() if i == self.pivot_power]
 
     def element(self, value):
         """Coerce an exact scalar into the field (Fraction over Q, residue mod p).
 
         Floats and bools are refused in both fields, and non-integral
         rationals over GF(p), so no value is rounded or truncated on the way in.
+        An int is reduced mod p directly, with no Fraction built.
         """
-        value = Fraction(require_exact(value))
+        value = require_exact(value)
+        if self.field != RATIONALS and isinstance(value, int):
+            return int(value) % self.field
+        value = Fraction(value)
         if self.field == RATIONALS:
             return value
         if value.denominator != 1:
@@ -107,34 +113,74 @@ class SymPoly:
     def pair_evaluator(self, values):
         """The map ``(a, b) ->`` the colour key of ``p(values[a], values[b])``, in integers.
 
+        This is the evaluator of ``_pair_forms``, whose row form
+        ``poly_colouring`` also uses: from q_j(x_a) and x_b**j, computed once
+        per value, it sums the products over j at C speed and finishes the
+        total.  Greedy's default scan calls it per pair.
+        """
+        return self._pair_forms(values)[0]
+
+    def _pair_forms(self, values):
+        """The evaluator of ``pair_evaluator`` and a row form, over the same scaled integers.
+
         The values are scaled by their common denominator L and the
         coefficients by theirs, D, so each term becomes an integer multiple of
         1 / (D * L**degree), and ``ratio_key`` reduces the total over it; over
         GF(p), L = D = 1 and the total is reduced mod p.  No Fraction is
-        built, and powers of every value are computed once.
+        built.  Each scaled value x keeps its powers x**j and, writing
+        p(x, y) = sum_j q_j(x) y^j (q_j is the q_i of the class docstring by
+        symmetry), its q_j(x), both computed once.
+
+        The row form colours the pairs of ascending ids a row at a time: the
+        row headed by x meets the later values y.  For each exponent j with a
+        nonzero coefficient, one C-level ``map`` multiplies q_j(x), repeated,
+        by the later values' j-th powers, sliced from one list; the products
+        of all rows are summed across exponents and finished by the
+        evaluator's ``finish``, so each key is the evaluator's.  No Python
+        call is made per row, nor per pair over GF(p).
         """
-        degree = self.degree
+        degree, mul = self.degree, operator.mul
         scale = math.lcm(*(v.denominator for v in values))
         clear = math.lcm(*(c.denominator for c in self.coeffs.values()))
-        terms = [(i, j, (c * clear).numerator * scale ** (degree - i - j))
-                 for (i, j), c in self.coeffs.items()]
+        by_power: list[list] = [[] for _ in range(degree + 1)]  # the (i, c_ij) of each y**j
+        for (i, j), c in self.coeffs.items():
+            by_power[j].append((i, (c * clear).numerator * scale ** (degree - i - j)))
         xs = [v.numerator * (scale // v.denominator) for v in values]
-        powers = [[x**e for e in range(degree + 1)] for x in xs]
+        columns = [list(map(pow, xs, repeat(e))) for e in range(degree + 1)]  # x**e, per e
+        live = [(j, list(map(sum, zip(*[map(mul, repeat(c), columns[i]) for i, c in terms]))),
+                 columns[j]) for j, terms in enumerate(by_power) if terms]  # j, q_j(x), x**j
+        heads = list(zip(*[head for _, head, _ in live]))
+        powers = list(zip(*[power for _, _, power in live]))
         if self.field == RATIONALS:
             finish = partial(ratio_key, denominator=clear * scale**degree)
         else:
             finish = self.field.__rmod__  # total -> total % p
 
         def evaluator(ids: tuple[int, ...]):
-            xa, xb = powers[ids[0]], powers[ids[1]]
-            return finish(sum([c * xa[i] * xb[j] for i, j, c in terms]))
+            return finish(sum(map(mul, heads[ids[0]], powers[ids[1]])))
 
-        return evaluator
+        def rows(ids):
+            n = len(ids)
+            total = None
+            for j, head, power in live:
+                part = chain.from_iterable(map(repeat, map(head.__getitem__, ids),
+                                               range(n - 1, -1, -1)))
+                if j:
+                    later = list(map(power.__getitem__, ids))
+                    part = map(mul, part, chain.from_iterable(
+                        map(later.__getitem__, map(slice, range(1, n + 1), repeat(None)))))
+                total = part if total is None else map(operator.add, total, part)
+            return map(finish, total)
+
+        return evaluator, rows
 
     def vanishes(self, y) -> bool:
         """Whether q_pivot, the y-polynomial multiplying x**pivot_power, is zero at y."""
-        y = self.element(y)
-        total = sum(c * y**j for (i, j), c in self.coeffs.items() if i == self.pivot_power)
+        return self._pivot_vanishes(self.element(y))
+
+    def _pivot_vanishes(self, y) -> bool:
+        """``vanishes`` at an element of the field, read from the pivot coefficients."""
+        total = sum(c * y**j for j, c in self._pivot)
         return total == 0 if self.field == RATIONALS else total % self.field == 0
 
     @property
@@ -158,12 +204,13 @@ def poly_prepare(poly: SymPoly, values) -> PolyGround:
     the input, so there are at most deg(q_pivot) <= degree - 1 of them; for
     every kept value y0, p(x, y0) is a nonconstant polynomial in x of degree
     at most the total degree, which is what bounds the petals of the
-    colouring.  q_pivot is evaluated once per value.
+    colouring.  Each value is converted into the field once, and q_pivot is
+    evaluated once per value.
     """
     elements = [poly.element(v) for v in values]
     if len(set(elements)) != len(elements):
         raise ParameterError("ground values must be distinct in the field")
-    return PolyGround(poly=poly, kept=tuple(v for v in elements if not poly.vanishes(v)))
+    return PolyGround(poly=poly, kept=tuple(v for v in elements if not poly._pivot_vanishes(v)))
 
 
 def poly_colouring(prepared: PolyGround) -> Colouring:
@@ -171,14 +218,16 @@ def poly_colouring(prepared: PolyGround) -> Colouring:
 
     At most ``degree`` same-coloured pairs can share a point, hence the petal
     bound.  Raises if the kept values were not actually prepared (some value
-    still zeroes the pivot coefficient polynomial).
+    still zeroes the pivot coefficient polynomial).  The colouring has the
+    row form of ``SymPoly._pair_forms``.
     """
     poly = prepared.poly
     for v in prepared.kept:
         if poly.vanishes(v):
             raise ValidationError(f"value {v} was not prepared out (pivot polynomial vanishes)")
     spec = ColouringSpec(k=2, h=1, max_petals=poly.degree)
-    return Colouring(spec=spec, evaluator=poly.pair_evaluator(prepared.kept), label=poly.label)
+    evaluator, rows = poly._pair_forms(prepared.kept)
+    return Colouring(spec=spec, evaluator=evaluator, label=poly.label, rows=rows)
 
 
 @dataclass(frozen=True)
@@ -229,15 +278,17 @@ def sidon_colouring(inst: IntegerInstance) -> Colouring:
     has bits span + u and span - u, the bitset shifted up by span ORed with
     its mirror (its bytes in reverse order, each byte's bits reversed by
     ``_REVERSED``), and the map is the OR of the mask shifted down by each
-    chosen offset, read back through ``format(..., "b")``.  A map out of
+    chosen offset, read back through ``format(..., "b")`` and encoded: the
+    map is those ASCII digits, b"1" at a refused offset.  A map out of
     date is never wrong: ``chosen`` and ``used`` only grow, so the exact
     test would still refuse a marked candidate; it only lets more candidates
     through to that test.  The map wins at every spread measured: with the
     values spread at random over 4, 8 and 16 times their count, it cut the
     scan by 67-78 %, 58-77 % and 40-66 % at counts from 10^4 to 10^6 (at
     10^5, 78 / 124 / 184 ms against 241 / 326 / 360 ms).  ``_MAP_SPAN``
-    stays at 8 all the same: the map and the copies a rebuild makes take
-    about 4 x span bytes, already 32 MB for 10^6 values spread 8 times.
+    stays at 8 all the same: the old map, the digits and the new map a
+    rebuild holds take about 3 x span bytes, already 24 MB for 10^6 values
+    spread 8 times.
     """
     values = inst.values
     spec = ColouringSpec(k=2, h=1, max_petals=2)
@@ -275,7 +326,7 @@ def sidon_colouring(inst: IntegerInstance) -> Colouring:
             marks = bytearray(span // 8 + 1)  # bit u for each used difference u
             shift = 8 * len(marks) - 1 - span
             window = (1 << (span + 1)) - 1
-            refused = bytes(span + 1)
+            refused = b"0" * (span + 1)
             start = 0
             while start < len(candidates):
                 stop = min(16 * start or 1, len(candidates))
@@ -283,11 +334,11 @@ def sidon_colouring(inst: IntegerInstance) -> Colouring:
                     block = candidates[first:min(first + _BLOCK, stop)]
                     flags = (bytes(operator.itemgetter(*block)(refused)) if len(block) > 1
                              else refused[block[0]:block[0] + 1])
-                    j = flags.find(0)
+                    j = flags.find(_FREE)
                     while j >= 0:
                         for u in take(block[j]):
                             marks[u >> 3] |= 1 << (u & 7)
-                        j = flags.find(0, j + 1)
+                        j = flags.find(_FREE, j + 1)
                 start = stop
                 if start < len(candidates):
                     # the mask has bits span + u and span - u for each used difference u
@@ -296,8 +347,8 @@ def sidon_colouring(inst: IntegerInstance) -> Colouring:
                     hits = 0
                     for c in chosen:
                         hits |= mask >> c  # bit span - x iff |x - c| is used
-                    bits = format(hits & window, f"0{span + 1}b")  # character x is bit span - x
-                    refused = bits.encode().translate(_BITS)
+                    # character x is bit span - x
+                    refused = format(hits & window, f"0{span + 1}b").encode()
         return [bisect_left(values, lo + x) for x in chosen]
 
     return Colouring(spec=spec, evaluator=evaluator, label="sidon", rows=rows, scan=scan)

@@ -22,7 +22,6 @@ from statistics import fmean
 from .errors import BudgetError, ParameterError, require_budget
 from .hypergraph import (DEFAULT_BUDGET, Colouring, GroundSet, build_conflict_hypergraph,
                          colour_class_sizes)
-from .keys import require_keys
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -112,7 +111,7 @@ def verify_rainbow(colouring: Colouring, subset, budget: int = DEFAULT_BUDGET) -
         return True
     edges = math.comb(len(s), k)
     require_budget(edges, budget, "verify", "verify_rainbow", "colour evaluations")
-    return len(require_keys(set(colouring.colours(s)))) == edges
+    return len(set(colouring.colours(s))) == edges
 
 
 def _shuffled(n: int, seed: int) -> list[int]:
@@ -154,10 +153,11 @@ def greedy_rainbow(colouring: Colouring, ground: GroundSet, order: int | None = 
     new colours are pairwise distinct (so the first k-1 vertices always
     are); the result is maximal for the order, since a rejected vertex only
     accumulates more constraints later.  The scan is the colouring's,
-    ``Colouring.greedy_scan``, whose default loop compares colour keys; the
-    closing verification reads the keys through ``Colouring.colours`` and
-    refuses a colour that is not a key.  ``runtime_ms`` covers the whole call:
-    the shuffle, the scan and the verification.
+    ``Colouring.greedy_scan``, whose default loop checks and compares colour
+    keys; the closing verification reads the keys through
+    ``Colouring.colours``, which refuses a colour that is not a key.
+    ``runtime_ms`` covers the whole call: the shuffle, the scan and the
+    verification.
     """
     t0 = time.perf_counter()
     n, k = ground.n, colouring.spec.k

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, islice, repeat
 from typing import Callable, Iterable, Sequence
 
 from .errors import ParameterError, require_budget
@@ -20,6 +20,7 @@ from .keys import require_keys
 # Exhaustive operations refuse to touch more k-subsets than this unless the
 # caller raises the budget explicitly; they fail loudly rather than sample.
 DEFAULT_BUDGET = 5_000_000
+_CHUNK = 4096  # evaluator keys checked per list by Colouring.colours
 
 
 @dataclass(frozen=True)
@@ -66,9 +67,13 @@ class Colouring:
     returns the key of its colour: a plain int for an integer-valued colour,
     else bytes that name the exact value, such as ``keys.ratio_key`` gives,
     so two colours are equal exactly when their keys are and no pass hashes
-    a Fraction.  Every pass refuses a key that is neither a plain int nor
-    bytes (``keys.require_keys``).  ``rows``, if given, gives the keys
-    of a whole ascending vertex list at once.  ``scan``, if given, stands in
+    a Fraction.  Every key the evaluator returns is checked before any pass
+    groups or compares it, and one that is neither a plain int nor bytes
+    raises TypeError (``keys.require_keys``): a raw 1.0 or True would
+    otherwise join the class of the int 1.  ``rows``, if given, gives the
+    keys of a whole ascending vertex list at once; it must return keys, as
+    the built-in row forms do, since they build each key from exact
+    integers, and its keys are not checked.  ``scan``, if given, stands in
     for the default ``greedy_scan`` and must take the same vertices in the
     same order.
     """
@@ -85,7 +90,8 @@ class Colouring:
         A vertex v is taken iff the colours of v with each (k-1)-subset of
         the vertices taken before it are unused so far and pairwise distinct.
         By default those edges are coloured in ``combinations`` order, each at
-        most once, stopping at the first clash, and their keys are compared.
+        most once, stopping at the first clash, and each key is checked before
+        it is compared.
         """
         if self.scan is not None:
             return self.scan(seq)
@@ -96,6 +102,8 @@ class Colouring:
             keys = set()
             for rest in combinations(chosen, k - 1):
                 key = ev(tuple(sorted(rest + (v,))))
+                if type(key) is not int and type(key) is not bytes:
+                    require_keys((key,))  # raises
                 if key in used or key in keys:
                     break
                 keys.add(key)
@@ -105,9 +113,17 @@ class Colouring:
         return chosen
 
     def colours(self, vertices: Sequence[int]) -> Iterable:
-        """The colour keys of the k-subsets of ascending ``vertices``, in combinations order."""
-        return (self.rows(vertices) if self.rows is not None
-                else map(self.evaluator, combinations(vertices, self.spec.k)))
+        """The colour keys of the k-subsets of ascending ``vertices``, in combinations order.
+
+        Without a row form, the evaluator's keys are gathered ``_CHUNK`` at a
+        time and each list is checked whole by ``keys.require_keys``, so no
+        Python call is made per key.
+        """
+        if self.rows is not None:
+            return self.rows(vertices)
+        keys = map(self.evaluator, combinations(vertices, self.spec.k))
+        chunks = iter(lambda: list(islice(keys, _CHUNK)), [])
+        return chain.from_iterable(map(require_keys, chunks))
 
 
 @dataclass(frozen=True)
@@ -187,15 +203,15 @@ def colour_classes(
     classes: dict[int | bytes, list[tuple[int, ...]]] = defaultdict(list)
     for key, e in zip(colours, combinations(vertices, colouring.spec.k)):
         classes[key].append(e)
-    return require_keys(dict(classes))
+    return dict(classes)
 
 
 def colour_class_sizes(
     colouring: Colouring, ground: GroundSet, budget: int = DEFAULT_BUDGET
 ) -> Counter:
     """Size of every colour class of the ground set, by colour key; no edge is stored."""
-    return require_keys(Counter(_colours_within_budget(colouring, ground, ground.vertices, budget,
-                                                       "colour_class_sizes")))
+    return Counter(_colours_within_budget(colouring, ground, ground.vertices, budget,
+                                          "colour_class_sizes"))
 
 
 def max_monochromatic_sunflower(

@@ -6,7 +6,8 @@ the plain int, any other as bytes, which hash once and cache it.  The
 kernels key their colours from integers: ``ratio_key`` keys a ratio of
 integers with no Fraction built, and a similarity type is the bracketed,
 comma-joined keys of its ratios.  ``require_keys`` refuses any colour key
-that is not a plain int or bytes.  The sunflower audit scans its classes in
+that is not a plain int or bytes; ``Colouring.colours`` runs it on every
+key an evaluator returns.  The sunflower audit scans its classes in
 the order of these bytes, reading an int key n as ``b"%d" % n``, and names
 the worst one's colour by them.
 """

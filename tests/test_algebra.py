@@ -275,6 +275,44 @@ def test_kernel_keys_match_the_definitions(case):
         colour_key(abs(integers[b] - integers[a])) for a, b in edges]
 
 
+@st.composite
+def poly_subsets(draw):
+    """A polynomial case with some monomials zeroed, and a mask choosing kept value ids."""
+    field, coeffs, values = draw(poly_cases())
+    for i, j in draw(st.sets(st.sampled_from(sorted(coeffs)))):
+        coeffs[(i, j)] = coeffs[(j, i)] = 0
+    return field, coeffs, values, draw(st.integers(0, 2**9 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=poly_subsets())
+@example(case=(101, {(2, 1): 1, (1, 2): 1, (1, 0): 1, (0, 1): 1}, [3, 50, 7, 99], 0))  # empty
+@example(case=(101, {(2, 1): 1, (1, 2): 1, (1, 0): 1, (0, 1): 1}, [3, 50, 7, 99], 4))  # one
+@example(case=(101, {(2, 1): 1, (1, 2): 1, (1, 0): 1, (0, 1): 1}, [3, 50, 7, 99], 15))  # all
+@example(case=("Q", {(2, 0): 1, (1, 1): Fraction(-1, 2), (0, 2): 1, (0, 0): Fraction(1, 3)},
+               [Fraction(-1, 2), 5, 400, Fraction(7, 3)], 2**9 - 1))
+@example(case=(7, {(3, 0): 5, (0, 3): 5, (1, 1): 0, (0, 0): 6}, [1, 2, 3, 4, 5, 6], 2**9 - 1))
+def test_poly_rows_match_the_evaluator_and_the_definition(case):
+    # on any ascending subset of the kept ids, empty, one id or all of them,
+    # the row form gives the evaluator's keys, in value and type, and both
+    # give the key of p(x, y) summed term by term
+    field, coeffs, values, mask = case
+    try:
+        prep = poly_prepare(SymPoly(field, coeffs), values)
+    except ParameterError:
+        reject()  # zero after reduction mod p, of degree 0, or values equal mod p
+    modulus = None if field == "Q" else field
+    raw = {Fraction(v) if field == "Q" else v % field: v for v in values}
+    ids = [i for i in range(len(prep.kept)) if mask >> i & 1]
+    edges = list(combinations(ids, 2))
+    want = [colour_key(direct_poly_value(coeffs, raw[prep.kept[a]], raw[prep.kept[b]], modulus))
+            for a, b in edges]
+    poly = poly_colouring(prep)
+    for got in (list(poly.colours(ids)), list(map(poly.evaluator, edges))):
+        assert got == want
+        assert list(map(type, got)) == list(map(type, want))
+
+
 def test_poly_lambda_audit():
     prep = poly_prepare(SymPoly("Q", X2_PLUS_Y2), list(range(1, 11)))
     c = poly_colouring(prep)
@@ -312,12 +350,13 @@ def values_and_vertices(draw):
 @example(case=([1, Mark.SEVEN, 2**64 + 1], [0, 1, 2]))
 def test_colours_match_the_evaluator(case):
     # the whole-set entry point gives the evaluator's colour keys, equal in
-    # value and type, in combinations order: the Sidon row form, and the
-    # default path of a colouring that has none
+    # value and type, in combinations order: the Sidon and polynomial row
+    # forms, and the default path of a colouring that has none
     values, vertices = case
     poly = poly_colouring(poly_prepare(SymPoly("Q", X_PLUS_Y), values))
-    assert poly.rows is None
-    for c in (sidon_colouring(IntegerInstance(values=tuple(values))), poly):
+    assert poly.rows is not None
+    for c in (sidon_colouring(IntegerInstance(values=tuple(values))), poly,
+              dataclasses.replace(poly, rows=None)):
         got = list(c.colours(vertices))
         want = [c.evaluator(e) for e in combinations(vertices, 2)]
         assert got == want

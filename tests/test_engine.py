@@ -337,10 +337,6 @@ def test_sample_float_colours_raise_type_error():
     plan = SamplePlan.from_spec(6, 2, 1, seed=0, p=1.0)
     with pytest.raises(TypeError, match="no canonical key for float"):
         sample_and_delete(c, GroundSet(6), plan)
-    # built directly, the colouring hands its raw floats to the library's key check
-    raw = Colouring(ColouringSpec(2, 1, 1), lambda e: e[0] / 2, "halves")
-    with pytest.raises(TypeError, match="colour keys must be plain ints or bytes"):
-        sample_and_delete(raw, GroundSet(6), plan)
 
 
 @pytest.mark.parametrize("odd", [1.0, True, (1, (2.0,))])
@@ -368,18 +364,6 @@ def test_every_colour_value_is_keyed(odd):
         verify_rainbow(tenths, (0, 1, 2))
     with pytest.raises(TypeError):
         greedy_rainbow(tenths, GroundSet(10))
-    # built directly, raw float colourings reach the library's own key check: a
-    # float that equals no other colour (a raw 1.0 would group as the int 1) and
-    # the raw tenths
-    half = Colouring(ColouringSpec(2, 1, 1), lambda e: 1.5 if e == (4, 5) else 1, "mixed")
-    raw_tenths = Colouring(tenths.spec, lambda e: 0.1 * (e[1] + 1) - 0.1 * (e[0] + 1), "tenths")
-    for run in (lambda: sample_and_delete(half, GroundSet(6), plan),
-                lambda: colour_classes(half, GroundSet(6)),
-                lambda: verify_rainbow(half, range(6)),
-                lambda: verify_rainbow(raw_tenths, (0, 1, 2)),
-                lambda: greedy_rainbow(raw_tenths, GroundSet(10))):
-        with pytest.raises(TypeError, match="colour keys must be plain ints or bytes"):
-            run()
 
 
 # raw colour values that are not keys, each of which a pass could group or
@@ -388,19 +372,25 @@ def test_every_colour_value_is_keyed(odd):
 # and a Fraction or a tuple hashes like no key of its value
 RAW_COLOURS = {
     "float": lambda e: 0.1 * (e[1] + 1) - 0.1 * (e[0] + 1),
+    "halves": lambda e: e[0] / 2,
     "bool": lambda e: e[0] == 0,
     "fraction": lambda e: Fraction(e[1] - e[0], 3),
     "tuple": lambda e: (e[1] - e[0],),
 }
+# each pass colours the edge (4, 5) of GroundSet(6): verification over all six
+# vertices, sample-delete keeping all or none (then only its counting pass over
+# the ground set sees the edge), and greedy in an order that starts 5, 4
 PASSES = {
     "colour_classes": colour_classes,
     "colour_class_sizes": colour_class_sizes,
     "build_conflict_hypergraph": build_conflict_hypergraph,
-    "verify_rainbow": lambda c, g: verify_rainbow(c, (0, 1, 2)),
+    "verify_rainbow": lambda c, g: verify_rainbow(c, range(6)),
     "validate_lambda": validate_lambda,
     "sample_and_delete": lambda c, g: sample_and_delete(c, g, SamplePlan(p=1.0, seed=0)),
+    "sample_and_delete_keeping_none":
+        lambda c, g: sample_and_delete(c, g, SamplePlan(p=1e-9, seed=0)),
     "exact_max_rainbow": exact_max_rainbow,
-    "greedy_rainbow": greedy_rainbow,
+    "greedy_rainbow": lambda c, g: greedy_rainbow(c, g, order=8),
 }
 
 
@@ -410,12 +400,25 @@ def test_each_pass_refuses_raw_colours_with_the_key_check(run):
     # and each pass refuses it through keys.require_keys; bytes keys pass
     spec, g = ColouringSpec(2, 1, 2), GroundSet(10)
     message = "colour keys must be plain ints or bytes, such as keys.ratio_key gives"
+    message = f"^{re.escape(message)}$"
     for label, raw in RAW_COLOURS.items():
-        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(TypeError, match=message):
             run(Colouring(spec, raw, label), g)
     keyed = Colouring(spec, lambda e: b"%d" % (e[1] - e[0]), "bytes")
     run(keyed, g)
     assert verify_rainbow(keyed, (0, 1, 3))
+    # one raw value, at the edge (4, 5), among int colours 1: 1.0 == True == 1
+    # would group with them, and 1.5 would open a class of its own, but every
+    # key is checked as it is coloured, so each pass refuses all three
+    assert greedy_rainbow(constant_colouring(), GroundSet(6), order=8).subset == (4, 5)
+    for odd in (1.0, True, 1.5):
+        mixed = Colouring(ColouringSpec(2, 1, 1), lambda e: odd if e == (4, 5) else 1, "mixed")
+        with pytest.raises(TypeError, match=message):
+            run(mixed, GroundSet(6))
+        with pytest.raises(TypeError, match=message):
+            verify_rainbow(mixed, (3, 4, 5))
+        with pytest.raises(TypeError, match=message):
+            mixed.greedy_scan([4, 5])
 
 
 def rational_cases():

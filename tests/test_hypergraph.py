@@ -236,6 +236,8 @@ def test_colour_keys_agree_with_canonical_keys(values):
 @example(value=1.0)
 @example(value=True)
 @example(value=(Fraction(1, 2), (3, (False,))))
+@example(value=3.0)
+@example(value=3.5)
 def test_inexact_colours_have_no_key(value):
     with pytest.raises(TypeError):
         colour_key(value)
@@ -247,6 +249,14 @@ def test_inexact_colours_have_no_key(value):
     raw = Colouring(ColouringSpec(1, 0, 1), lambda e: value, "raw")
     with pytest.raises(TypeError, match="^colour keys must be plain ints or bytes"):
         colour_classes(raw, GroundSet(1))
+    # at one edge among int colours 3, first, inside or last: refused even where
+    # it equals 3 and would group with them, such as 3.0
+    for odd_edge in [(0, 1), (2, 4), (3, 4)]:
+        raw = Colouring(ColouringSpec(2, 1, 1), lambda e: value if e == odd_edge else 3, "threes")
+        with pytest.raises(TypeError, match="^colour keys must be plain ints or bytes"):
+            colour_class_sizes(raw, GroundSet(5))
+        with pytest.raises(TypeError, match="^colour keys must be plain ints or bytes"):
+            colour_classes(raw, GroundSet(5))
 
 
 # one odd colour among small ints: any exact value, or one that must raise
@@ -311,13 +321,6 @@ def test_class_sizes_merge_equal_numbers_only(odd_edge):
             colour_class_sizes(colouring(odd), GroundSet(5))
         with pytest.raises(TypeError):
             colour_classes(colouring(odd), GroundSet(5))
-    # built directly, a raw float that equals no other colour reaches the
-    # library's own key check (a raw 3.0 would group as the int 3)
-    raw = Colouring(ColouringSpec(2, 1, 1), lambda e: 3.5 if e == odd_edge else 3, "threes")
-    with pytest.raises(TypeError, match="colour keys must be plain ints or bytes"):
-        colour_class_sizes(raw, GroundSet(5))
-    with pytest.raises(TypeError, match="colour keys must be plain ints or bytes"):
-        colour_classes(raw, GroundSet(5))
 
 
 def test_evaluator_purity_and_symmetry():

@@ -40,9 +40,12 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest node ids under tests/
 
 
+KEY_CHECK = ("test_engine.py::test_each_pass_refuses_raw_colours_with_the_key_check",
+             "test_hypergraph.py::test_inexact_colours_have_no_key")
 ORACLE = ("test_engine.py::test_exact_matches_the_reference_search",)
 KERNEL_KEYS = ("test_geometry.py::test_kernel_keys_match_the_definitions",)
 DET = ("test_geometry.py::test_det_exact_matches_the_leibniz_oracle",)
+POLY_ROWS = ("test_algebra.py::test_poly_rows_match_the_evaluator_and_the_definition",)
 SIDON_SCAN = ("test_algebra.py::test_sidon_scan_matches_the_default_scan",
               "test_engine.py::test_greedy_sidon_matches_the_reference_scan")
 
@@ -88,13 +91,18 @@ MUTANTS = [
     # mirrored half of its mask, leaves the exact test to refuse the rest, so
     # it is sound by design and no mutant here makes it
     Mutant("sidon-gather-skips-next", "algebra.py",
-           "j = flags.find(0, j + 1)", "j = flags.find(0, j + 2)", SIDON_SCAN),
+           "j = flags.find(_FREE, j + 1)", "j = flags.find(_FREE, j + 2)", SIDON_SCAN),
     Mutant("sidon-mark-one-up", "algebra.py",
            "marks[u >> 3] |= 1 << (u & 7)", "marks[u + 1 >> 3] |= 1 << (u + 1 & 7)",
            SIDON_SCAN),
     Mutant("sidon-signed-difference", "algebra.py",
            "return abs(values[ids[1]] - values[ids[0]])", "return values[ids[0]] - values[ids[1]]",
            ("test_algebra.py::test_colours_match_the_evaluator",)),
+    # the polynomial row form (colour kernel layer)
+    Mutant("poly-row-skips-finish", "algebra.py",
+           "return map(finish, total)", "return total", POLY_ROWS),
+    Mutant("poly-row-misaligned", "algebra.py",
+           "range(n - 1, -1, -1)))", "range(n, 0, -1)))", POLY_ROWS),
     # colour classes and conflict pairs (index layer)
     Mutant("pair-degree-one-off", "hypergraph.py",
            "math.comb(m, 2) - math.comb(m - d, 2)", "math.comb(m, 2) - math.comb(m - d + 1, 2)",
@@ -114,15 +122,19 @@ MUTANTS = [
            ("test_engine.py::test_sample_matches_full_enumeration_reference",)),
     # verification
     Mutant("verify-allows-one-clash", "engine.py",
-           "return len(require_keys(set(colouring.colours(s)))) == edges",
-           "return len(require_keys(set(colouring.colours(s)))) >= edges - 1",
+           "return len(set(colouring.colours(s))) == edges",
+           "return len(set(colouring.colours(s))) >= edges - 1",
            ("test_engine.py::test_verify_sidon_examples",)),
+    # the key check on every evaluator key
     Mutant("require-keys-lets-floats-through", "keys.py",
            "if not {int, bytes}.issuperset(", "if not {int, bytes, float}.issuperset(",
-           ("test_engine.py::test_each_pass_refuses_raw_colours_with_the_key_check",
-            "test_engine.py::test_sample_float_colours_raise_type_error",
-            "test_engine.py::test_every_colour_value_is_keyed",
-            "test_hypergraph.py::test_class_sizes_merge_equal_numbers_only")),
+           KEY_CHECK),
+    Mutant("colours-skip-key-check", "hypergraph.py",
+           "return chain.from_iterable(map(require_keys, chunks))",
+           "return chain.from_iterable(chunks)", KEY_CHECK),
+    Mutant("greedy-scan-skips-key-check", "hypergraph.py",
+           "                    require_keys((key,))  # raises\n", "                    pass\n",
+           KEY_CHECK[:1]),
     # the CLI and its files
     Mutant("cli-limit-unchecked", "cli.py",
            "    if algorithm == \"exact\" and args.limit is not None:",
